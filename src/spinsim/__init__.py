@@ -8,12 +8,12 @@ from .hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
                            build_ising, build_xy, dominant_angular_frequency,
                            exact_evolve)
 from .linalg import (expectation, herm_expm, kron, partial_transpose)
-from .noise import (NoiseParams, THETA_TO_NS, decoherence_kraus,
+from .noise import (NoiseParams, THETA_TO_NS, TimingParams, decoherence_kraus,
                     gate_duration_ns, predicted_fidelity, simulate_noisy,
                     zz_error_unitary)
-from .scheduler import (PulseEvent, PulseTimeline, TimingParams,
-                        commensurate_padding, gate_footprint_durations,
-                        schedule, timeline_to_csv, validate)
+from .scheduler import (PulseEvent, PulseTimeline, commensurate_padding,
+                        gate_footprint_durations, schedule, timeline_to_csv,
+                        validate)
 from .tomography import (FidelityReport, TomographyRecord, chi_from_json,
                          chi_of_unitary, chi_to_json, linear_inversion,
                          negativity, process_fidelity, process_tomography,

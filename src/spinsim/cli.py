@@ -2,7 +2,7 @@
 
 Outputs are plain CSV/JSON files with pinned formatting (12 significant
 digits, '.' decimal, ',' separator, Unix newlines) so runs are byte-stable
-for a fixed configuration and seed.
+for a fixed configuration.
 
 In dynamics CSVs the observable columns (sx1..sz2, xx_corr, negativity)
 trace the exactly solved model, ``fid_vs_exact`` is the overlap of the
@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,9 @@ from .circuits import (Circuit, EvolutionParams, Gate, circuit_to_text,
                        compile_ising)
 from .hamiltonians import SpinModelSpec, build_hamiltonian, exact_evolve
 from .linalg import SX, SY, SZ, kron
-from .noise import F_P_XY_REFERENCE, NoiseParams, predicted_fidelity, simulate_noisy
-from .scheduler import TimingParams, schedule, timeline_to_csv, validate
+from .noise import (F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity,
+                    simulate_noisy)
+from .scheduler import schedule, timeline_to_csv, validate
 from .tomography import (FidelityReport, chi_of_unitary, chi_to_json,
                          negativity, process_fidelity, process_tomography,
                          state_fidelity)
@@ -75,9 +76,6 @@ class RunConfig:
     b_over_j: float = 3.0
     initial_state: object = None  # preset name, amplitudes, or None for default
     noise: NoiseParams | None = NoiseParams()
-    tomography: str = "none"
-    seed: int = 0
-    output_path: str = "."
     j_sign: int = -1
 
     def __post_init__(self):
@@ -87,14 +85,14 @@ class RunConfig:
             raise ConfigError("theta_grid must not be empty")
         if any(b <= a for a, b in zip(self.theta_grid, self.theta_grid[1:])):
             raise ConfigError("theta_grid must be strictly ascending")
+        if not all(math.isfinite(t) for t in self.theta_grid):
+            raise ConfigError("theta values must be finite")
         if any(t < 0 for t in self.theta_grid):
             raise ConfigError("theta values must be non-negative")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be >= 1")
-        if self.tomography not in ("none", "state", "process"):
-            raise ConfigError(f"unknown tomography mode {self.tomography!r}")
         if self.j_sign not in (-1, 1):
             raise ConfigError("j_sign must be +1 or -1")
         self.psi0()  # validate the initial state eagerly
@@ -109,22 +107,32 @@ class RunConfig:
                     f"unknown initial-state preset {spec!r}; "
                     f"choose from {sorted(PRESETS)} or give 4 amplitudes")
             return np.array(PRESETS[spec], dtype=complex)
-        amps = list(spec)
-        if len(amps) != 4:
+        try:
+            vec = [_amplitude(a) for a in spec]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad initial_state: {exc}") from exc
+        if len(vec) != 4:
             raise ConfigError("initial_state needs exactly 4 amplitudes")
-        vec = []
-        for a in amps:
-            if isinstance(a, (list, tuple)):
-                if len(a) != 2:
-                    raise ConfigError("amplitude pairs must be [re, im]")
-                vec.append(complex(a[0], a[1]))
-            else:
-                vec.append(complex(a))
         psi = np.array(vec, dtype=complex)
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ConfigError(f"initial state norm is {norm:.6g}, expected 1")
         return psi / norm
+
+
+def _amplitude(a) -> complex:
+    if isinstance(a, (list, tuple)):
+        if len(a) != 2:
+            raise ValueError("amplitude pairs must be [re, im]")
+        return complex(a[0], a[1])
+    return complex(a)
+
+
+# config name of each gate duration -> TimingParams field
+_GATE_DURATION_FIELDS = {"single_qubit_ns": "single_qubit_ns",
+                         "xy_buffer_ns": "buffer_ns",
+                         "post_flux_wait_ns": "post_flux_wait_ns"}
+_NOISE_FLOATS = ("jz_tilde_angle_deg", "crosstalk_phase_deg", "single_qubit_fidelity")
 
 
 def _noise_from_dict(obj) -> NoiseParams | None:
@@ -134,33 +142,39 @@ def _noise_from_dict(obj) -> NoiseParams | None:
         return NoiseParams()
     if not isinstance(obj, dict):
         raise ConfigError("noise must be 'off' or an object")
-    base = NoiseParams()
-    kwargs = {}
-    for key in ("t1_us", "t2_us"):
-        if key in obj:
-            kwargs[key] = tuple(float(x) for x in obj[key])
-    for key in ("jz_tilde_angle_deg", "crosstalk_phase_deg",
-                "single_qubit_fidelity", "theta_to_ns"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if "gate_durations" in obj:
-        gd = dict(base.gate_durations)
-        gd.update({k: float(v) for k, v in obj["gate_durations"].items()})
-        kwargs["gate_durations"] = gd
-    unknown = set(obj) - {"t1_us", "t2_us", "jz_tilde_angle_deg",
-                          "crosstalk_phase_deg", "single_qubit_fidelity",
-                          "theta_to_ns", "gate_durations"}
+    unknown = set(obj) - {"t1_us", "t2_us", *_NOISE_FLOATS, "theta_to_ns",
+                          "gate_durations"}
     if unknown:
         raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
+    durations = obj.get("gate_durations", {})
+    if not isinstance(durations, dict):
+        raise ConfigError("noise.gate_durations must be an object")
+    unknown = set(durations) - set(_GATE_DURATION_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown gate_durations keys: {sorted(unknown)}")
     try:
-        return replace(base, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        timing = {_GATE_DURATION_FIELDS[k]: float(v) for k, v in durations.items()}
+        if "theta_to_ns" in obj:
+            timing["theta_to_ns"] = float(obj["theta_to_ns"])
+        kwargs = {k: tuple(float(x) for x in obj[k])
+                  for k in ("t1_us", "t2_us") if k in obj}
+        kwargs.update({k: float(obj[k]) for k in _NOISE_FLOATS if k in obj})
+        return NoiseParams(timing=TimingParams(**timing), **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise config: {exc}") from exc
 
 
-_CONFIG_KEYS = {"protocol", "theta_grid", "n_steps", "n_list", "b_over_j",
-                "initial_state", "noise", "tomography", "seed",
-                "output_path", "j_sign"}
+# config key -> conversion of its JSON value; initial_state and noise are
+# parsed by RunConfig.psi0 and _noise_from_dict
+_CONVERSIONS = {
+    "protocol": str,
+    "theta_grid": lambda v: tuple(float(t) for t in v),
+    "n_steps": int,
+    "n_list": lambda v: tuple(int(n) for n in v),
+    "b_over_j": float,
+    "j_sign": int,
+}
+_CONFIG_KEYS = {*_CONVERSIONS, "initial_state", "noise"}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -177,33 +191,18 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     kwargs: dict = {}
-    if "protocol" in data:
-        kwargs["protocol"] = str(data["protocol"])
-    if "theta_grid" in data:
-        try:
-            kwargs["theta_grid"] = tuple(float(t) for t in data["theta_grid"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad theta_grid: {exc}") from exc
-    if "n_steps" in data:
-        kwargs["n_steps"] = int(data["n_steps"])
-    if "n_list" in data:
-        kwargs["n_list"] = tuple(int(n) for n in data["n_list"])
-    if "b_over_j" in data:
-        kwargs["b_over_j"] = float(data["b_over_j"])
-        if not math.isfinite(kwargs["b_over_j"]):
-            raise ConfigError("b_over_j must be finite")
+    for key, convert in _CONVERSIONS.items():
+        if key in data:
+            try:
+                kwargs[key] = convert(data[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {key}: {exc}") from exc
+    if not math.isfinite(kwargs.get("b_over_j", 0.0)):
+        raise ConfigError("b_over_j must be finite")
     if "initial_state" in data:
         kwargs["initial_state"] = data["initial_state"]
     if "noise" in data:
         kwargs["noise"] = _noise_from_dict(data["noise"])
-    if "tomography" in data:
-        kwargs["tomography"] = str(data["tomography"])
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if "output_path" in data:
-        kwargs["output_path"] = str(data["output_path"])
-    if "j_sign" in data:
-        kwargs["j_sign"] = int(data["j_sign"])
     return RunConfig(**kwargs)
 
 
@@ -306,8 +305,6 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.tomography != "process":
-        raise ConfigError("tomography command requires tomography = 'process'")
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
     rows = []
@@ -340,21 +337,21 @@ def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
-                 dump_timeline: bool, refocus: bool,
-                 circuit_in: str | None) -> int:
-    timing = TimingParams(refocus=refocus)
-    theta_to_ns = (cfg.noise.theta_to_ns if cfg.noise is not None
-                   else NoiseParams().theta_to_ns)
+                 dump_timeline: bool, circuit_in: str | None) -> int:
+    timing = cfg.noise.timing if cfg.noise is not None else TimingParams()
     if not dump_circuit and not dump_timeline:
         dump_circuit = dump_timeline = True
     if circuit_in is not None:
-        circuits = [("input", circuit_from_text(Path(circuit_in).read_text()))]
+        try:
+            circuits = [("input", circuit_from_text(Path(circuit_in).read_text()))]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot read circuit {circuit_in}: {exc!r}") from exc
     else:
         circuits = [(f"theta{i:03d}", build_circuit(cfg, theta))
                     for i, theta in enumerate(cfg.theta_grid)]
     all_violations: list[str] = []
     for tag, circ in circuits:
-        timeline = schedule(circ, timing, theta_to_ns)
+        timeline = schedule(circ, timing)
         violations = validate(timeline, timing)
         if dump_circuit:
             (out_dir / f"{cfg.protocol}_{tag}_circuit.txt").write_text(
@@ -373,7 +370,6 @@ def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, help="RNG seed override")
     p.add_argument("--no-noise", action="store_true", help="disable the noise model")
     p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--thetas", help="comma-separated phase angles (radians)")
@@ -386,19 +382,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _overrides(args) -> dict:
     ov: dict = {}
-    for key in ("protocol", "n_steps", "b_over_j", "initial_state", "seed", "j_sign"):
+    for key in ("protocol", "n_steps", "b_over_j", "initial_state", "j_sign"):
         val = getattr(args, key, None)
         if val is not None:
             ov[key] = val
+    # comma-separated lists are converted, and rejected, by load_config
     if getattr(args, "thetas", None):
-        try:
-            ov["theta_grid"] = [float(t) for t in args.thetas.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --thetas list: {exc}") from exc
-    if getattr(args, "no_noise", False):
+        ov["theta_grid"] = args.thetas.split(",")
+    if getattr(args, "n_list", None):
+        ov["n_list"] = args.n_list.split(",")
+    if args.no_noise:
         ov["noise"] = "off"
-    if getattr(args, "tomography", None):
-        ov["tomography"] = args.tomography
     return ov
 
 
@@ -419,26 +413,18 @@ def main(argv=None) -> int:
 
     p_tomo = sub.add_parser("tomography", help="process tomography chi + report")
     _add_common(p_tomo)
-    p_tomo.add_argument("--tomography", choices=("none", "state", "process"),
-                        default="process")
 
     p_sched = sub.add_parser("schedule", help="pulse timeline and circuit dumps")
     _add_common(p_sched)
     p_sched.add_argument("--dump-circuit", action="store_true")
     p_sched.add_argument("--dump-timeline", action="store_true")
-    p_sched.add_argument("--refocus", action="store_true",
-                         help="insert refocusing pulse pairs on Q2")
     p_sched.add_argument("--circuit-in", dest="circuit_in",
                          help="schedule a dumped circuit file instead of compiling")
 
     args = parser.parse_args(argv)
     try:
-        overrides = _overrides(args)
-        if getattr(args, "n_list", None):
-            overrides["n_list"] = [int(n) for n in args.n_list.split(",")]
-        cfg = load_config(args.config, overrides)
-        out_dir = Path(args.out) if args.out != "." or cfg.output_path == "." \
-            else Path(cfg.output_path)
+        cfg = load_config(args.config, _overrides(args))
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
@@ -447,7 +433,7 @@ def main(argv=None) -> int:
         if args.command == "tomography":
             return cmd_tomography(cfg, out_dir)
         return cmd_schedule(cfg, out_dir, args.dump_circuit, args.dump_timeline,
-                            args.refocus, args.circuit_in)
+                            args.circuit_in)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,13 +16,14 @@ buffer segments and the mandated post-flux wait; compiled z-phase gates are
 flux pulses of the step's allotted time (split in proportion to their
 rotation angle) plus the post-flux wait; microwave rotations take the fixed
 single-qubit pulse length.  Physical nanoseconds enter the package only
-here, through ``THETA_TO_NS``.
+here: ``TimingParams`` holds every device timing, and both this engine's
+decoherence charge and the pulse scheduler read their durations from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +47,43 @@ DEVICE_JZ_TILDE_DEG = -2.3
 DEVICE_CROSSTALK_DEG = -4.6
 DEVICE_SINGLE_QUBIT_FIDELITY = 0.997
 
-DEFAULT_GATE_DURATIONS = {
-    "single_qubit_ns": 24.0,
-    "xy_buffer_ns": 16.0,
-    "post_flux_wait_ns": 40.0,
-}
+
+@dataclass(frozen=True)
+class TimingParams:
+    """Device timings shared by the noise charge and the pulse scheduler."""
+
+    single_qubit_ns: float = 24.0
+    buffer_ns: float = 16.0
+    post_flux_wait_ns: float = 40.0
+    detuning_mhz: float = 200.0
+    theta_to_ns: float = THETA_TO_NS
+
+    def __post_init__(self):
+        if not all(math.isfinite(d) and d >= 0 for d in
+                   (self.single_qubit_ns, self.buffer_ns, self.post_flux_wait_ns)):
+            raise ValueError("durations must be finite and non-negative")
+        if not (math.isfinite(self.detuning_mhz) and self.detuning_mhz > 0):
+            raise ValueError("detuning must be finite and positive")
+        if not (math.isfinite(self.theta_to_ns) and self.theta_to_ns > 0):
+            raise ValueError("theta_to_ns must be finite and positive")
+
+    @property
+    def phase_period_ns(self) -> float:
+        # inverse detuning; 5 ns at 200 MHz
+        return 1000.0 / self.detuning_mhz
+
+    def rz_flux_ns(self, gate: Gate, metadata: dict) -> float:
+        """Flux-pulse length of a compiled z-phase gate.
+
+        The per-step z slot lasts the step's allotted interaction time; a gate
+        carrying a fraction of the step's z angle takes the same fraction of
+        that time.  Hand-built circuits without field metadata fall back to
+        the single-qubit pulse length.
+        """
+        b = abs(float(metadata.get("b_over_j", 0.0)))
+        if b > 0.0:
+            return self.theta_to_ns * 2.0 * abs(gate.angle) / b
+        return self.single_qubit_ns
 
 
 @dataclass(frozen=True)
@@ -62,8 +95,7 @@ class NoiseParams:
     jz_tilde_angle_deg: float = DEVICE_JZ_TILDE_DEG
     crosstalk_phase_deg: float = DEVICE_CROSSTALK_DEG
     single_qubit_fidelity: float = DEVICE_SINGLE_QUBIT_FIDELITY
-    gate_durations: dict = field(default_factory=lambda: dict(DEFAULT_GATE_DURATIONS))
-    theta_to_ns: float = THETA_TO_NS
+    timing: TimingParams = TimingParams()
 
     def __post_init__(self):
         if len(self.t1_us) != 2 or len(self.t2_us) != 2:
@@ -154,20 +186,6 @@ def zz_error_unitary(angle_deg: float) -> np.ndarray:
     return np.diag(phases)
 
 
-def _rz_flux_ns(gate: Gate, params: NoiseParams, metadata: dict) -> float:
-    """Flux-pulse length of a compiled z-phase gate.
-
-    The per-step z slot lasts the step's allotted interaction time; a gate
-    carrying a fraction of the step's z angle takes the same fraction of
-    that time.  Hand-built circuits without field metadata fall back to the
-    single-qubit pulse length.
-    """
-    b = abs(float(metadata.get("b_over_j", 0.0)))
-    if b > 0.0:
-        return params.theta_to_ns * 2.0 * abs(gate.angle) / b
-    return params.gate_durations["single_qubit_ns"]
-
-
 def _step_z_fraction(gate: Gate, metadata: dict) -> float:
     """Fraction of one Trotter step's z rotation carried by this gate."""
     theta = float(metadata.get("theta", 0.0))
@@ -181,15 +199,13 @@ def _step_z_fraction(gate: Gate, metadata: dict) -> float:
 
 def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict | None = None) -> float:
     """Wall-clock footprint of one gate, waits included for flux pulses."""
-    metadata = metadata or {}
-    gd = params.gate_durations
+    t = params.timing
     if gate.kind == "XY":
-        return (params.theta_to_ns * gate.theta + 2.0 * gd["xy_buffer_ns"]
-                + gd["post_flux_wait_ns"])
+        return t.theta_to_ns * gate.theta + 2.0 * t.buffer_ns + t.post_flux_wait_ns
     if gate.kind == "ROT":
         if gate.axis == "z":
-            return _rz_flux_ns(gate, params, metadata) + gd["post_flux_wait_ns"]
-        return gd["single_qubit_ns"]
+            return t.rz_flux_ns(gate, metadata or {}) + t.post_flux_wait_ns
+        return t.single_qubit_ns
     if gate.kind == "WAIT":
         return gate.duration_ns
     raise ValueError(f"unknown gate kind {gate.kind!r}")

@@ -8,41 +8,22 @@ Timing rules enforced here and checked by ``validate``:
 * after every flux unit (buffers included) no event may start for the
   post-flux wait;
 * consecutive exchange flux pulses start an integer number of relative-phase
-  periods apart, via the commensuration padding;
-* optional refocusing pulses on Q2 come in adjacent pairs placed in idle
-  windows (best effort, largest window per Trotter step); an unplaceable
-  pair is a reported violation, never a silent drop.
+  periods apart, via the commensuration padding.
+
+All durations come from ``TimingParams``, the timing model the noise engine
+charges decoherence with.  Refocusing pi pulses are not inserted here: the
+compiled Ising sequence already carries them as gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .noise import THETA_TO_NS
+from .noise import TimingParams
 
 _TOL = 1e-9
 _FMT = "{:.12g}".format
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    single_qubit_ns: float = 24.0
-    buffer_ns: float = 16.0
-    post_flux_wait_ns: float = 40.0
-    detuning_mhz: float = 200.0
-    refocus: bool = False
-
-    def __post_init__(self):
-        if min(self.single_qubit_ns, self.buffer_ns, self.post_flux_wait_ns) < 0:
-            raise ValueError("durations must be non-negative")
-        if self.detuning_mhz <= 0:
-            raise ValueError("detuning must be positive")
-
-    @property
-    def phase_period_ns(self) -> float:
-        # inverse detuning; 5 ns at 200 MHz
-        return 1000.0 / self.detuning_mhz
 
 
 @dataclass(frozen=True)
@@ -62,7 +43,6 @@ class PulseEvent:
 class PulseTimeline:
     events: tuple[PulseEvent, ...]
     total_ns: float
-    unscheduled_refocus: tuple[int, ...] = ()
 
 
 def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:
@@ -77,16 +57,7 @@ def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:
     return period_ns - r
 
 
-def _rz_flux_ns(gate: Gate, metadata: dict, timing: TimingParams,
-                theta_to_ns: float) -> float:
-    b = abs(float(metadata.get("b_over_j", 0.0)))
-    if b > 0.0:
-        return theta_to_ns * 2.0 * abs(gate.angle) / b
-    return timing.single_qubit_ns
-
-
-def schedule(circuit: Circuit, timing: TimingParams,
-             theta_to_ns: float = THETA_TO_NS) -> PulseTimeline:
+def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
     """Greedy earliest-start assignment in gate order."""
     n = circuit.n_qubits
     if n != 2:
@@ -95,7 +66,6 @@ def schedule(circuit: Circuit, timing: TimingParams,
     wait = timing.post_flux_wait_ns
     ready = [0.0] * n
     flux_unit_ends: list[float] = []
-    busy: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     events: list[PulseEvent] = []
     last_xy_flux_start: float | None = None
     cursor_floor = 0.0
@@ -112,11 +82,10 @@ def schedule(circuit: Circuit, timing: TimingParams,
         return t
 
     def place_rz(idx: int, g: Gate, t0: float) -> None:
-        dur = _rz_flux_ns(g, circuit.metadata, timing, theta_to_ns)
+        dur = timing.rz_flux_ns(g, circuit.metadata)
         events.append(PulseEvent(f"flux-Q{g.qubit + 1}", t0, dur, "rz", idx))
         flux_unit_ends.append(t0 + dur)
         ready[g.qubit] = t0 + dur
-        busy[g.qubit].append((t0, t0 + dur))
 
     idx = 0
     gates = circuit.gates
@@ -129,7 +98,7 @@ def schedule(circuit: Circuit, timing: TimingParams,
                 pad = commensurate_padding(flux_start - last_xy_flux_start, period)
                 t0 += pad
                 flux_start += pad
-            dur = theta_to_ns * g.theta
+            dur = timing.theta_to_ns * g.theta
             events.append(PulseEvent("flux-Q1", t0, timing.buffer_ns, "buffer", idx))
             events.append(PulseEvent("flux-Q1", flux_start, dur, "xy", idx))
             events.append(PulseEvent("flux-Q1", flux_start + dur,
@@ -138,15 +107,12 @@ def schedule(circuit: Circuit, timing: TimingParams,
             flux_unit_ends.append(unit_end)
             last_xy_flux_start = flux_start
             ready[0] = ready[1] = unit_end
-            busy[0].append((t0, unit_end))
-            busy[1].append((t0, unit_end))
         elif g.kind == "ROT" and g.axis in ("x", "y"):
             t0 = bump(max(ready[g.qubit], cursor_floor))
             dur = timing.single_qubit_ns
             events.append(PulseEvent(f"drive-Q{g.qubit + 1}", t0, dur,
                                      f"rot_{g.axis}", idx))
             ready[g.qubit] = t0 + dur
-            busy[g.qubit].append((t0, t0 + dur))
         elif g.kind == "ROT":
             # consecutive z-phase gates on the two qubits fire simultaneously,
             # like the hardware's paired phase flux pulses
@@ -174,59 +140,8 @@ def schedule(circuit: Circuit, timing: TimingParams,
     if not events and cursor_floor == 0.0:
         total = 0.0
 
-    unscheduled: list[int] = []
-    if timing.refocus:
-        events, unscheduled = _insert_refocusing(
-            events, busy[1], circuit, timing, bump)
-
     events.sort(key=lambda ev: (ev.start_ns, ev.channel, ev.label))
-    return PulseTimeline(tuple(events), total, tuple(unscheduled))
-
-
-def _insert_refocusing(events, busy_q2, circuit, timing, bump):
-    """Place two adjacent pi pulses on drive-Q2 in each step's largest gap."""
-    need = 2.0 * timing.single_qubit_ns
-    gps = int(circuit.metadata.get("gates_per_step", 0))
-    n_gates = len(circuit.gates)
-    if gps > 0:
-        steps = [(k, min(k + gps, n_gates)) for k in range(0, n_gates, gps)]
-    else:
-        steps = [(0, n_gates)]
-    by_gate: dict[int, list[PulseEvent]] = {}
-    for ev in events:
-        by_gate.setdefault(ev.gate_index, []).append(ev)
-    out = list(events)
-    unscheduled: list[int] = []
-    for step_idx, (lo, hi) in enumerate(steps):
-        span = [ev for i in range(lo, hi) for ev in by_gate.get(i, [])]
-        if not span:
-            continue
-        span_lo = min(ev.start_ns for ev in span)
-        span_hi = max(ev.end_ns for ev in span)
-        intervals = sorted(
-            (s, e) for s, e in busy_q2 if e > span_lo and s < span_hi)
-        gaps = []
-        prev = span_lo
-        for s, e in intervals:
-            if s - prev > _TOL:
-                gaps.append((prev, s))
-            prev = max(prev, e)
-        if span_hi - prev > _TOL:
-            gaps.append((prev, span_hi))
-        placed = False
-        for a, b in sorted(gaps, key=lambda g: g[0] - g[1]):  # widest first
-            start = bump(a)
-            if start + need <= b + _TOL:
-                out.append(PulseEvent("drive-Q2", start,
-                                      timing.single_qubit_ns, "refocus", -1))
-                out.append(PulseEvent("drive-Q2", start + timing.single_qubit_ns,
-                                      timing.single_qubit_ns, "refocus", -1))
-                busy_q2.append((start, start + need))
-                placed = True
-                break
-        if not placed:
-            unscheduled.append(step_idx)
-    return out, unscheduled
+    return PulseTimeline(tuple(events), total)
 
 
 def _flux_units(timeline: PulseTimeline) -> list[tuple[float, float, str]]:
@@ -303,21 +218,6 @@ def validate(timeline: PulseTimeline, timing: TimingParams) -> list[str]:
                 f"{_FMT(a.start_ns)} and {_FMT(b.start_ns)} ns, "
                 f"{_FMT(period - r)} ns deficit")
 
-    refocus = sorted((ev for ev in timeline.events if ev.label == "refocus"),
-                     key=lambda e: e.start_ns)
-    if len(refocus) % 2 != 0:
-        violations.append("refocusing pulses do not come in pairs")
-    else:
-        for a, b in zip(refocus[0::2], refocus[1::2]):
-            if abs(b.start_ns - a.end_ns) > _TOL:
-                violations.append(
-                    f"refocusing pulses at {_FMT(a.start_ns)} and "
-                    f"{_FMT(b.start_ns)} ns are not adjacent")
-
-    for step in timeline.unscheduled_refocus:
-        violations.append(
-            f"refocusing unschedulable in step {step}: no idle window of "
-            f"{2 * timing.single_qubit_ns:g} ns on drive-Q2")
     return violations
 
 

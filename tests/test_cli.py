@@ -73,7 +73,7 @@ class TestSimulate:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, protocol="ising", theta_grid=[0.5, 1.5],
-                           n_steps=2, seed=3)
+                           n_steps=2)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
@@ -148,7 +148,7 @@ class TestTrotterScan:
 class TestTomographyCommand:
     def test_noiseless_process_fidelity_one(self, tmp_path):
         cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi],
-                           tomography="process", noise="off")
+                           noise="off")
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "tomography_report.csv")
         assert rows[0]["f_process"] == pytest.approx(1.0, abs=1e-9)
@@ -156,17 +156,10 @@ class TestTomographyCommand:
         assert doc["basis"][0] == "II"
 
     def test_noisy_xy_process_fidelity(self, tmp_path):
-        cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi],
-                           tomography="process")
+        cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi])
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "tomography_report.csv")
         assert abs(rows[0]["f_process"] - 0.953) <= 0.03
-
-    def test_requires_process_mode(self, tmp_path):
-        cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi],
-                           tomography="none")
-        assert main(["tomography", "--config", cfg, "--out", str(tmp_path),
-                     "--tomography", "none"]) == 2
 
 
 class TestScheduleCommand:
@@ -197,13 +190,16 @@ class TestScheduleCommand:
         cfg = write_config(tmp_path, protocol="ising", theta_grid=[])
         assert main(["schedule", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_unschedulable_refocus_exit_code(self, tmp_path):
-        # compiled sequences leave no idle window wide enough on drive-Q2
-        cfg = write_config(tmp_path, protocol="ising", theta_grid=[math.pi],
-                           n_steps=2)
-        rc = main(["schedule", "--config", cfg, "--out", str(tmp_path),
-                   "--refocus"])
-        assert rc == 4
+    def test_configured_gate_durations_reach_timeline(self, tmp_path):
+        # the noise model's timings are the ones the schedule is built with
+        cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi],
+                           noise={"gate_durations": {"xy_buffer_ns": 10,
+                                                     "post_flux_wait_ns": 60}})
+        assert main(["schedule", "--config", cfg, "--out", str(tmp_path),
+                     "--dump-timeline"]) == 0
+        rows = (tmp_path / "xy_theta000_timeline.csv").read_text().splitlines()[1:]
+        buffers = [float(r.split(",")[2]) for r in rows if r.endswith(",buffer")]
+        assert buffers == [10.0, 10.0]
 
     def test_circuit_round_trip_through_dump(self, tmp_path):
         cfg = write_config(tmp_path, protocol="ising", theta_grid=[math.pi],
@@ -228,3 +224,36 @@ def test_flag_overrides_beat_config(tmp_path):
                  "--protocol", "heisenberg", "--thetas", "0.5",
                  "--no-noise"]) == 0
     assert (tmp_path / "heisenberg_dynamics.csv").exists()
+
+
+BAD_CIRCUIT = "# n_qubits=2\nXY foo=1\n"
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    pytest.param("simulate", {"n_steps": "abc"}, [], id="n_steps-text"),
+    pytest.param("simulate", {"b_over_j": "x"}, [], id="b_over_j-text"),
+    pytest.param("trotter-scan", {"n_list": [1, "z"]}, [], id="n_list-text"),
+    pytest.param("simulate", {"noise": {"t1_us": 5}}, [], id="t1_us-scalar"),
+    pytest.param("simulate", {"initial_state": ["a", 0, 0, 0]}, [],
+                 id="amplitude-text"),
+    pytest.param("simulate", {"theta_grid": [0.5, math.nan]}, [], id="theta-nan"),
+    pytest.param("simulate", {"theta_grid": [0.5, math.inf]}, [], id="theta-inf"),
+    pytest.param("schedule", {}, ["--thetas", "nan"], id="thetas-flag-nan"),
+    pytest.param("trotter-scan", {}, ["--n-list", "1,x"], id="n-list-flag-text"),
+    pytest.param("schedule", {}, ["--circuit-in", "missing.txt"],
+                 id="circuit-in-missing"),
+    pytest.param("schedule", {}, ["--circuit-in", "bad.txt"], id="circuit-in-bad-line"),
+    pytest.param("simulate", {"noise": {"gate_durations": {"buffer_ns": 10}}}, [],
+                 id="gate-durations-unknown-key"),
+    pytest.param("schedule", {"noise": {"gate_durations": {"xy_buffer_ns": -1}}}, [],
+                 id="gate-durations-negative"),
+    pytest.param("simulate", {"noise": {"theta_to_ns": 0}}, [], id="theta_to_ns-zero"),
+    pytest.param("schedule", {"noise": {"theta_to_ns": -2.0}}, [],
+                 id="theta_to_ns-negative"),
+])
+def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text(BAD_CIRCUIT)
+    cfg = write_config(tmp_path, **config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 *flags]) == 2

@@ -6,8 +6,8 @@ import pytest
 from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_unitary, \
     compile_ising
 from spinsim.linalg import kron
-from spinsim.noise import (NoiseParams, THETA_TO_NS, decoherence_kraus,
-                           gate_duration_ns, predicted_fidelity,
+from spinsim.noise import (NoiseParams, THETA_TO_NS, TimingParams,
+                           decoherence_kraus, gate_duration_ns, predicted_fidelity,
                            simulate_noisy, zz_error_unitary)
 from spinsim.tomography import state_fidelity
 
@@ -115,6 +115,25 @@ class TestGateDurations:
     def test_wait_duration(self):
         p = NoiseParams()
         assert gate_duration_ns(Gate.wait(55.5), p, {}) == 55.5
+
+    def test_durations_follow_timing(self):
+        p = NoiseParams(timing=TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
+                                            post_flux_wait_ns=60.0, theta_to_ns=2.0))
+        assert gate_duration_ns(Gate.xy(np.pi), p, {}) == pytest.approx(
+            2.0 * np.pi + 20.0 + 60.0)
+        assert gate_duration_ns(Gate.rot("y", 1.0, 1), p, {}) == 30.0
+        # a z gate without field metadata takes the single-qubit pulse length
+        assert gate_duration_ns(Gate.rot("z", 1.0, 0), p, {}) == 90.0
+
+
+@pytest.mark.parametrize("bad", [
+    {"single_qubit_ns": -1.0}, {"buffer_ns": math.nan},
+    {"post_flux_wait_ns": math.inf}, {"detuning_mhz": 0.0},
+    {"theta_to_ns": 0.0}, {"theta_to_ns": -1.0},
+])
+def test_timing_params_rejects_invalid(bad):
+    with pytest.raises(ValueError):
+        TimingParams(**bad)
 
 
 class TestSimulateNoisy:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsim.circuits import Circuit, EvolutionParams, Gate, compile_heisenberg, \
     compile_ising
@@ -15,6 +16,9 @@ from spinsim.circuits import circuit_unitary
 from conftest import FIG3
 
 GOLDEN = Path(__file__).parent / "golden"
+NON_DEFAULT_TIMING = TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
+                                  post_flux_wait_ns=60.0, detuning_mhz=250.0,
+                                  theta_to_ns=0.5)
 
 
 def xy_circuit(theta):
@@ -53,7 +57,7 @@ class TestSchedule:
 
     def test_single_xy_footprint(self):
         # with the conversion pinned so the flux pulse lasts exactly 6.2 ns
-        tl = schedule(xy_circuit(np.pi), TimingParams(), theta_to_ns=6.2 / np.pi)
+        tl = schedule(xy_circuit(np.pi), TimingParams(theta_to_ns=6.2 / np.pi))
         labels = [(e.label, e.duration_ns) for e in tl.events]
         assert labels == [("buffer", 16.0), ("xy", 6.2), ("buffer", 16.0)]
         assert tl.total_ns == pytest.approx(78.2)
@@ -130,45 +134,63 @@ class TestValidate:
         assert any("post-flux wait" in m for m in msgs)
 
 
-class TestRefocusing:
-    def test_pair_inserted_in_wait_window(self):
-        c = Circuit(2, (Gate.xy(np.pi), Gate.wait(200.0), Gate.xy(np.pi)),
-                    {"j_sign": -1})
-        timing = TimingParams(refocus=True)
-        tl = schedule(c, timing)
-        refocus = [e for e in tl.events if e.label == "refocus"]
-        assert len(refocus) == 2
-        assert refocus[0].channel == "drive-Q2"
-        assert refocus[1].start_ns == pytest.approx(refocus[0].end_ns)
-        assert validate(tl, timing) == []
-
-    def test_pair_is_net_identity(self):
-        # two x flips compose to the identity
-        from spinsim.linalg import SX, kron
-        u = kron(np.eye(2), SX) @ kron(np.eye(2), SX)
-        assert np.array_equal(u, np.eye(4))
-
-    def test_unschedulable_window_reported(self):
-        c = Circuit(2, (Gate.xy(np.pi), Gate.wait(10.0), Gate.xy(np.pi)),
-                    {"j_sign": -1})
-        timing = TimingParams(refocus=True)
-        tl = schedule(c, timing)
-        msgs = validate(tl, timing)
-        assert any("unschedulable" in m for m in msgs)
-
-
 def test_timeline_and_per_gate_durations_agree():
     # the two duration accountings drive the noise model identically
-    params = NoiseParams()
-    timing = TimingParams()
     rho0 = np.outer(FIG3, FIG3.conj())
-    for theta, n in ((np.pi, 2), (2.5, 3)):
-        c = compile_ising(EvolutionParams(theta, n, 3.0))
-        tl = schedule(c, timing, theta_to_ns=params.theta_to_ns)
-        footprints = gate_footprint_durations(tl, c, timing)
-        per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
-        assert np.allclose(footprints, per_gate, atol=1e-9)
-        psi = circuit_unitary(c) @ FIG3
-        f1 = state_fidelity(simulate_noisy(c, params, rho0), psi)
-        f2 = state_fidelity(simulate_noisy(c, params, rho0, durations_ns=footprints), psi)
-        assert abs(f1 - f2) < 1e-9
+    for timing in (TimingParams(), NON_DEFAULT_TIMING):
+        params = NoiseParams(timing=timing)
+        for theta, n in ((np.pi, 2), (2.5, 3)):
+            c = compile_ising(EvolutionParams(theta, n, 3.0))
+            tl = schedule(c, timing)
+            footprints = gate_footprint_durations(tl, c, timing)
+            per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
+            assert np.allclose(footprints, per_gate, atol=1e-9)
+            psi = circuit_unitary(c) @ FIG3
+            f1 = state_fidelity(simulate_noisy(c, params, rho0), psi)
+            f2 = state_fidelity(
+                simulate_noisy(c, params, rho0, durations_ns=footprints), psi)
+            assert abs(f1 - f2) < 1e-9
+
+
+def compiled_circuit(protocol, theta, n, b_over_j, j_sign):
+    if protocol == "ising":
+        return compile_ising(EvolutionParams(theta, n, b_over_j), j_sign=j_sign)
+    if protocol == "heisenberg":
+        return compile_heisenberg(EvolutionParams(theta), j_sign=j_sign)
+    return Circuit(2, (Gate.xy(theta),),
+                   {"protocol": "xy", "theta": theta, "j_sign": j_sign})
+
+
+durations = st.floats(min_value=0.0, max_value=100.0)
+timings = st.builds(TimingParams, single_qubit_ns=durations, buffer_ns=durations,
+                    post_flux_wait_ns=durations,
+                    detuning_mhz=st.floats(min_value=0.1, max_value=1000.0))
+
+
+@settings(deadline=None)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.floats(min_value=1e-6, max_value=4 * np.pi),
+       n=st.integers(min_value=1, max_value=30),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)), timing=timings)
+def test_schedule_clean_and_footprints_match_charge(protocol, theta, n, b_over_j,
+                                                    j_sign, timing):
+    c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
+    tl = schedule(c, timing)
+    assert validate(tl, timing) == []
+    params = NoiseParams(timing=timing)
+    per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
+    assert np.allclose(gate_footprint_durations(tl, c, timing), per_gate, atol=1e-9)
+
+
+# An angle so small that its flux pulse ends where it starts in floating
+# point hits the same defect as theta = 0, so the property test starts at 1e-6.
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: a theta = 0 exchange gate emits a zero-length flux pulse "
+    "that validate reports as an overlap with its own trailing buffer"))
+@pytest.mark.parametrize("theta", [0.0, 1e-300])
+@pytest.mark.parametrize("protocol", ["xy", "heisenberg", "ising"])
+def test_theta_zero_schedules_clean(protocol, theta):
+    timing = TimingParams()
+    c = compiled_circuit(protocol, theta, 2, 3.0, -1)
+    assert validate(schedule(c, timing), timing) == []
