@@ -47,6 +47,9 @@ class Gate:
     duration_ns: float = 0.0  # WAIT: idle time
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.angle)
+                and math.isfinite(self.duration_ns)):
+            raise ValueError("gate angles and durations must be finite")
         if self.kind == "XY":
             if self.theta < 0:
                 raise ValueError("XY phase angle must be non-negative")

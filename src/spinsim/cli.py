@@ -164,15 +164,22 @@ def _noise_from_dict(obj) -> NoiseParams | None:
         raise ConfigError(f"bad noise config: {exc}") from exc
 
 
+def _integral(v) -> int:
+    """An integer given as 3, 3.0 or "3"; int() alone would truncate 2.7."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 # config key -> conversion of its JSON value; initial_state and noise are
 # parsed by RunConfig.psi0 and _noise_from_dict
 _CONVERSIONS = {
     "protocol": str,
     "theta_grid": lambda v: tuple(float(t) for t in v),
-    "n_steps": int,
-    "n_list": lambda v: tuple(int(n) for n in v),
+    "n_steps": _integral,
+    "n_list": lambda v: tuple(_integral(n) for n in v),
     "b_over_j": float,
-    "j_sign": int,
+    "j_sign": _integral,
 }
 _CONFIG_KEYS = {*_CONVERSIONS, "initial_state", "noise"}
 
@@ -346,6 +353,8 @@ def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
             circuits = [("input", circuit_from_text(Path(circuit_in).read_text()))]
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot read circuit {circuit_in}: {exc!r}") from exc
+        if circuits[0][1].n_qubits != 2:
+            raise ConfigError(f"circuit {circuit_in} is not a two-qubit circuit")
     else:
         circuits = [(f"theta{i:03d}", build_circuit(cfg, theta))
                     for i, theta in enumerate(cfg.theta_grid)]

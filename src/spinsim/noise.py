@@ -18,17 +18,29 @@ rotation angle) plus the post-flux wait; microwave rotations take the fixed
 single-qubit pulse length.  Physical nanoseconds enter the package only
 here: ``TimingParams`` holds every device timing, and both this engine's
 decoherence charge and the pulse scheduler read their durations from it.
+
+Engine: each gate together with its errors is one 16x16 Liouville
+superoperator S = sum_k K_k (x) conj(K_k) acting on the row-major
+vectorisation vec(rho) = rho.reshape(-1), since vec(A rho B) =
+(A (x) B^T) vec(rho) (Wood, Biamonte & Cory, arXiv:1111.6950).  The Kraus
+operators K_k are those of the gate unitary composed with the exchange
+gate's residual ZZ, or the Q2 z-phase gate's fractional ZZ and crosstalk
+rotation, then the depolarizing kick, then T1/T2 decoherence for the gate's
+duration.  Superoperators are built once per distinct (gate, coupling sign,
+z fraction, duration, parameters) and kept in a bounded cache, so
+propagating a state costs one 16x16 matrix-vector product per gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .circuits import Circuit, Gate, gate_unitary
-from .linalg import ID2, SX, SY, SZ, check_density_matrix, kron
+from .linalg import ID2, SX, SY, SZ, check_density_matrix, op_on_qubit
 
 J_COUPLING_MHZ = 40.4
 
@@ -98,6 +110,9 @@ class NoiseParams:
     timing: TimingParams = TimingParams()
 
     def __post_init__(self):
+        # tuples keep the parameters hashable, as the superoperator cache needs
+        object.__setattr__(self, "t1_us", tuple(self.t1_us))
+        object.__setattr__(self, "t2_us", tuple(self.t2_us))
         if len(self.t1_us) != 2 or len(self.t2_us) != 2:
             raise ValueError("t1_us and t2_us must have one entry per qubit")
         for t1, t2 in zip(self.t1_us, self.t2_us):
@@ -105,8 +120,9 @@ class NoiseParams:
                 raise ValueError("T1 and T2 must be positive")
             if t2 > 2.0 * t1 + 1e-12:
                 raise ValueError(f"unphysical T2 = {t2} > 2*T1 = {2 * t1}")
-        if not 0.0 <= self.single_qubit_fidelity <= 1.0:
-            raise ValueError("single_qubit_fidelity must be in [0, 1]")
+        # the depolarizing probability 2 * (1 - F) must not exceed 1
+        if not 0.5 <= self.single_qubit_fidelity <= 1.0:
+            raise ValueError("single_qubit_fidelity must be in [0.5, 1]")
         if not (math.isfinite(self.jz_tilde_angle_deg)
                 and math.isfinite(self.crosstalk_phase_deg)):
             raise ValueError("error angles must be finite")
@@ -211,17 +227,34 @@ def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict | None = No
     raise ValueError(f"unknown gate kind {gate.kind!r}")
 
 
-def _two_qubit_kraus(duration_ns: float, params: NoiseParams) -> list[np.ndarray]:
+def _superop(kraus) -> np.ndarray:
+    # row-major vec: vec(K rho K^dag) = (K (x) conj(K)) vec(rho), summed over K
+    k = np.asarray(kraus)
+    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(16, 16)
+
+
+@lru_cache(maxsize=256)
+def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
+                  params: NoiseParams) -> np.ndarray:
+    """Liouville matrix of one gate followed by its errors (read-only)."""
+    u = gate_unitary(gate, 2, j_sign)
+    if gate.kind == "XY":
+        u = zz_error_unitary(params.jz_tilde_angle_deg) @ u
+    if gate.kind == "ROT" and gate.axis == "z" and gate.qubit == 1:
+        a = math.radians(params.crosstalk_phase_deg * z_frac)
+        u = (gate_unitary(Gate.rot("z", a, 1), 2)
+             @ zz_error_unitary(params.jz_tilde_angle_deg * z_frac) @ u)
+    s = _superop([u])
+    if gate.kind == "ROT" and gate.axis in ("x", "y"):
+        p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
+        s = _superop([op_on_qubit(k, gate.qubit, 2)
+                      for k in depolarizing_kraus(p_depol)]) @ s
     ka = decoherence_kraus(duration_ns, params.t1_us[0], params.t2_us[0])
     kb = decoherence_kraus(duration_ns, params.t1_us[1], params.t2_us[1])
-    return [kron(a, b) for a in ka for b in kb]
-
-
-def _apply_kraus(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    # Kraus operators kron(a, b) of the two independent qubit channels
+    s = _superop(np.einsum("mac,nbd->mnabcd", ka, kb).reshape(-1, 4, 4)) @ s
+    s.flags.writeable = False
+    return s
 
 
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray,
@@ -233,42 +266,18 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray,
     """
     if circuit.n_qubits != 2:
         raise ValueError("the noise engine handles two-qubit circuits")
-    rho = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").copy()
+    vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
     j_sign = int(circuit.metadata.get("j_sign", -1))
     if durations_ns is not None and len(durations_ns) != len(circuit.gates):
         raise ValueError("durations_ns must have one entry per gate")
 
-    zz_xy = None
-    if params.jz_tilde_angle_deg != 0.0:
-        zz_xy = zz_error_unitary(params.jz_tilde_angle_deg)
-    p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
-    depol_q = [
-        [kron(k, ID2) for k in depolarizing_kraus(p_depol)],
-        [kron(ID2, k) for k in depolarizing_kraus(p_depol)],
-    ] if p_depol > 0.0 else None
-
-    kraus_cache: dict[float, list[np.ndarray]] = {}
     for idx, g in enumerate(circuit.gates):
-        u = gate_unitary(g, 2, j_sign)
-        rho = u @ rho @ u.conj().T
-        if g.kind == "XY" and zz_xy is not None:
-            rho = zz_xy @ rho @ zz_xy.conj().T
-        if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
-            frac = _step_z_fraction(g, circuit.metadata)
-            if params.jz_tilde_angle_deg != 0.0:
-                e = zz_error_unitary(params.jz_tilde_angle_deg * frac)
-                rho = e @ rho @ e.conj().T
-            if params.crosstalk_phase_deg != 0.0:
-                a = math.radians(params.crosstalk_phase_deg * frac)
-                ct = gate_unitary(Gate.rot("z", a, 1), 2)
-                rho = ct @ rho @ ct.conj().T
-        if depol_q is not None and g.kind == "ROT" and g.axis in ("x", "y"):
-            rho = _apply_kraus(rho, depol_q[g.qubit])
         dur = (durations_ns[idx] if durations_ns is not None
                else gate_duration_ns(g, params, circuit.metadata))
-        if dur not in kraus_cache:
-            kraus_cache[dur] = _two_qubit_kraus(dur, params)
-        rho = _apply_kraus(rho, kraus_cache[dur])
+        z_frac = (_step_z_fraction(g, circuit.metadata)
+                  if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
+        vec = _gate_superop(g, j_sign, z_frac, float(dur), params) @ vec
+    rho = vec.reshape(4, 4)
     return (rho + rho.conj().T) / 2.0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ PAULI_MATRICES_2Q = tuple(kron(PAULI_1Q[l[0]], PAULI_1Q[l[1]]) for l in PAULI_LA
 _CHI_1Q = {"I": ID2, "X": SX, "Y": -1j * SY, "Z": SZ}
 CHI_BASIS_LABELS = PAULI_LABELS_2Q
 CHI_BASIS = tuple(kron(_CHI_1Q[l[0]], _CHI_1Q[l[1]]) for l in CHI_BASIS_LABELS)
+_CHI_VEC = np.column_stack([b.reshape(-1) for b in CHI_BASIS])
 
 # Informationally complete product input states for process tomography:
 # {|0>, |1>, |+>, |+i>} on each qubit.
@@ -114,39 +116,39 @@ def reconstruct_state(rec: TomographyRecord) -> np.ndarray:
     return (v * lam) @ v.conj().T
 
 
-def _transfer_matrix(channel) -> np.ndarray:
+@cache
+def _input_inverse() -> np.ndarray:
     ins = np.column_stack([r.reshape(-1) for r in PROCESS_INPUT_STATES])
     if np.linalg.cond(ins) > 1e8:
         raise RuntimeError("tomography input states are not informationally complete")
-    outs = np.column_stack([
-        np.asarray(channel(r), dtype=complex).reshape(-1)
-        for r in PROCESS_INPUT_STATES
-    ])
-    return outs @ np.linalg.inv(ins)
+    return np.linalg.inv(ins)
 
 
-_CHI_SYSTEM = None
+def _chi_from_transfer(transfer: np.ndarray) -> np.ndarray:
+    """Unnormalised chi of a row-major superoperator, in closed form.
 
-
-def _chi_system() -> np.ndarray:
-    # vec_row(B_m rho B_n^dag) = (B_m (x) conj(B_n)) vec_row(rho)
-    global _CHI_SYSTEM
-    if _CHI_SYSTEM is None:
-        cols = [np.kron(bm, bn.conj()).reshape(-1)
-                for bm in CHI_BASIS for bn in CHI_BASIS]
-        _CHI_SYSTEM = np.column_stack(cols)
-    return _CHI_SYSTEM
+    transfer = sum_mn chi_mn B_m (x) conj(B_n).  Regrouping its indices
+    (a b),(c d) -> (a c),(b d) turns each term into vec(B_m) vec(B_n)^dag, so
+    the regrouped matrix R is V chi V^dag with V the basis as vec columns,
+    and V^dag V = 4 I gives chi = V^dag R V / 16.  This is A^dag vec(transfer)
+    / 16 for the 256x256 chi system A, whose columns vec(B_m (x) conj(B_n))
+    are orthogonal with squared norm 16, done as two 16x16 products.
+    """
+    r = transfer.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    return _CHI_VEC.conj().T @ r @ _CHI_VEC / 16.0
 
 
 def process_tomography(channel) -> np.ndarray:
     """Chi matrix of a linear CPTP map on two qubits.
 
-    The channel is evaluated on the 16 product input states; the linear
-    system for chi in the fixed basis is then solved exactly.
+    The channel is evaluated on the 16 product input states, giving its
+    transfer matrix, from which chi in the fixed basis follows exactly.
     """
-    transfer = _transfer_matrix(channel)
-    chi_vec = np.linalg.solve(_chi_system(), transfer.reshape(-1))
-    chi = chi_vec.reshape(16, 16)
+    outs = np.column_stack([
+        np.asarray(channel(r), dtype=complex).reshape(-1)
+        for r in PROCESS_INPUT_STATES
+    ])
+    chi = _chi_from_transfer(outs @ _input_inverse())
     chi = (chi + chi.conj().T) / 2.0
     tr = np.trace(chi).real
     if abs(tr) < 1e-12:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
+                             compile_ising)
+
 
 def random_hermitian(rng, dim=4):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -43,3 +46,13 @@ SQRT_ISWAP = np.array(
      [0, 0, 0, 1]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
+
+
+def compiled_circuit(protocol, theta, n, b_over_j, j_sign):
+    """The circuit the CLI builds for one protocol (n and b_over_j: ising only)."""
+    if protocol == "ising":
+        return compile_ising(EvolutionParams(theta, n, b_over_j), j_sign=j_sign)
+    if protocol == "heisenberg":
+        return compile_heisenberg(EvolutionParams(theta), j_sign=j_sign)
+    return Circuit(2, (Gate.xy(theta),),
+                   {"protocol": "xy", "theta": theta, "j_sign": j_sign})

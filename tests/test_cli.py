@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsim.cli import main
+from spinsim.cli import load_config, main
 from spinsim.hamiltonians import dominant_angular_frequency
 
 
@@ -226,7 +226,14 @@ def test_flag_overrides_beat_config(tmp_path):
     assert (tmp_path / "heisenberg_dynamics.csv").exists()
 
 
-BAD_CIRCUIT = "# n_qubits=2\nXY foo=1\n"
+# --circuit-in files written by test_input_errors_exit_2
+BAD_CIRCUITS = {
+    "bad.txt": "# n_qubits=2\nXY foo=1\n",
+    "nan-theta.txt": "# n_qubits=2\nXY theta=nan\n",
+    "inf-angle.txt": "# n_qubits=2\nROT axis=z angle=inf q=0\n",
+    "nan-wait.txt": "# n_qubits=2\nWAIT ns=nan\n",
+    "three-qubits.txt": "# n_qubits=3\nXY theta=1.0\n",
+}
 
 
 @pytest.mark.parametrize("command, config, flags", [
@@ -250,10 +257,32 @@ BAD_CIRCUIT = "# n_qubits=2\nXY foo=1\n"
     pytest.param("simulate", {"noise": {"theta_to_ns": 0}}, [], id="theta_to_ns-zero"),
     pytest.param("schedule", {"noise": {"theta_to_ns": -2.0}}, [],
                  id="theta_to_ns-negative"),
+    pytest.param("simulate", {"noise": {"single_qubit_fidelity": 0.4}}, [],
+                 id="single-qubit-fidelity-below-half"),
+    pytest.param("schedule", {}, ["--circuit-in", "nan-theta.txt"],
+                 id="circuit-in-nan-theta"),
+    pytest.param("schedule", {}, ["--circuit-in", "inf-angle.txt"],
+                 id="circuit-in-inf-angle"),
+    pytest.param("schedule", {}, ["--circuit-in", "nan-wait.txt"],
+                 id="circuit-in-nan-wait"),
+    pytest.param("schedule", {}, ["--circuit-in", "three-qubits.txt"],
+                 id="circuit-in-three-qubits"),
+    pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],
+                 id="n_steps-fractional"),
+    pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),
+    pytest.param("trotter-scan", {"n_list": [2.7]}, [], id="n_list-fractional"),
+    pytest.param("simulate", {"j_sign": -1.5}, [], id="j_sign-fractional"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.txt").write_text(BAD_CIRCUIT)
+    for name, text in BAD_CIRCUITS.items():
+        (tmp_path / name).write_text(text)
     cfg = write_config(tmp_path, **config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                  *flags]) == 2
+
+
+def test_integral_config_values_accepted():
+    cfg = load_config(None, {"n_steps": 3.0, "n_list": [1, 2.0, "3"], "j_sign": "1"})
+    assert (cfg.n_steps, cfg.n_list, cfg.j_sign) == (3, (1, 2, 3), 1)
+    assert all(type(v) is int for v in (cfg.n_steps, *cfg.n_list, cfg.j_sign))

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_unitary, \
-    compile_ising
-from spinsim.linalg import kron
+    compile_ising, gate_unitary
+from spinsim.linalg import kron, op_on_qubit
 from spinsim.noise import (NoiseParams, THETA_TO_NS, TimingParams,
-                           decoherence_kraus, gate_duration_ns, predicted_fidelity,
-                           simulate_noisy, zz_error_unitary)
+                           decoherence_kraus, depolarizing_kraus, gate_duration_ns,
+                           predicted_fidelity, simulate_noisy, zz_error_unitary)
 from spinsim.tomography import state_fidelity
 
-from conftest import FIG3, random_density
+from conftest import FIG3, compiled_circuit, random_density
 
 
 def kraus_completeness_defect(kraus):
@@ -245,3 +246,90 @@ def test_cptp_on_random_states(rng):
         out = sum(k @ rho @ k.conj().T for k in two_qubit)
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(out).min() > -1e-8
+
+
+def kraus_reference(circuit, params, rho0, durations_ns=None):
+    """Gate-by-gate Kraus sums: the engine that the cached superoperators replace."""
+    def apply(rho, kraus):
+        out = np.zeros_like(rho)
+        for k in kraus:
+            out += k @ rho @ k.conj().T
+        return out
+
+    meta = circuit.metadata
+    j_sign = int(meta.get("j_sign", -1))
+    p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
+    rho = np.asarray(rho0, dtype=complex)
+    for idx, g in enumerate(circuit.gates):
+        rho = apply(rho, [gate_unitary(g, 2, j_sign)])
+        if g.kind == "XY":
+            rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg)])
+        if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
+            # the gate's share of the step's z rotation |B| theta / (2 n)
+            full = (abs(float(meta.get("b_over_j", 0.0))) * float(meta.get("theta", 0.0))
+                    / (2.0 * int(meta.get("n_steps", 1))))
+            frac = abs(g.angle) / full if full > 0.0 else 1.0
+            rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg * frac)])
+            a = math.radians(params.crosstalk_phase_deg * frac)
+            rho = apply(rho, [gate_unitary(Gate.rot("z", a, 1), 2)])
+        if g.kind == "ROT" and g.axis in ("x", "y"):
+            rho = apply(rho, [op_on_qubit(k, g.qubit, 2)
+                              for k in depolarizing_kraus(p_depol)])
+        dur = (durations_ns[idx] if durations_ns is not None
+               else gate_duration_ns(g, params, meta))
+        ka = decoherence_kraus(dur, params.t1_us[0], params.t2_us[0])
+        kb = decoherence_kraus(dur, params.t1_us[1], params.t2_us[1])
+        rho = apply(rho, [kron(a, b) for a in ka for b in kb])
+    return (rho + rho.conj().T) / 2.0
+
+
+def assert_cptp_output(rho):
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+@st.composite
+def noise_params(draw):
+    """Each error source on at a drawn strength or off: all on, all off, or partial."""
+    kw = {}
+    if draw(st.booleans()):
+        t1 = [draw(st.floats(0.5, 50.0)) for _ in range(2)]
+        kw["t1_us"] = tuple(t1)
+        kw["t2_us"] = tuple(draw(st.floats(0.05, 2.0 * t)) for t in t1)
+    else:
+        kw["t1_us"] = kw["t2_us"] = (math.inf, math.inf)
+    kw["jz_tilde_angle_deg"] = draw(st.sampled_from((0.0, -2.3)) | st.floats(-10.0, 10.0))
+    kw["crosstalk_phase_deg"] = draw(st.sampled_from((0.0, -4.6)) | st.floats(-10.0, 10.0))
+    kw["single_qubit_fidelity"] = draw(st.sampled_from((1.0, 0.997)) | st.floats(0.5, 1.0))
+    return NoiseParams(**kw)
+
+
+@settings(deadline=None)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi),
+       n=st.integers(min_value=1, max_value=30),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)),
+       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
+       override=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_superoperator_engine_matches_kraus_reference(protocol, theta, n, b_over_j,
+                                                       j_sign, params, override, seed):
+    c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
+    rng = np.random.default_rng(seed)
+    rho0 = random_density(rng)
+    durations = (list(rng.uniform(0.0, 200.0, size=len(c.gates)))
+                 if override else None)
+    rho = simulate_noisy(c, params, rho0, durations_ns=durations)
+    assert np.max(np.abs(rho - kraus_reference(c, params, rho0, durations))) <= 1e-12
+    assert_cptp_output(rho)
+
+
+def test_list_times_are_hashable_and_match_tuples():
+    listed = NoiseParams(t1_us=[7.1, 6.7], t2_us=[5.4, 4.9])
+    assert listed == NoiseParams() and hash(listed) == hash(NoiseParams())
+    c = compile_ising(EvolutionParams(2.5, 3, 3.0))
+    rho0 = np.outer(FIG3, FIG3.conj())
+    rho = simulate_noisy(c, listed, rho0)
+    assert np.max(np.abs(rho - kraus_reference(c, listed, rho0))) <= 1e-12
+    assert_cptp_output(rho)

@@ -13,7 +13,7 @@ from spinsim.scheduler import (PulseEvent, PulseTimeline, TimingParams,
 from spinsim.tomography import state_fidelity
 from spinsim.circuits import circuit_unitary
 
-from conftest import FIG3
+from conftest import FIG3, compiled_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 NON_DEFAULT_TIMING = TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
@@ -150,15 +150,6 @@ def test_timeline_and_per_gate_durations_agree():
             f2 = state_fidelity(
                 simulate_noisy(c, params, rho0, durations_ns=footprints), psi)
             assert abs(f1 - f2) < 1e-9
-
-
-def compiled_circuit(protocol, theta, n, b_over_j, j_sign):
-    if protocol == "ising":
-        return compile_ising(EvolutionParams(theta, n, b_over_j), j_sign=j_sign)
-    if protocol == "heisenberg":
-        return compile_heisenberg(EvolutionParams(theta), j_sign=j_sign)
-    return Circuit(2, (Gate.xy(theta),),
-                   {"protocol": "xy", "theta": theta, "j_sign": j_sign})
 
 
 durations = st.floats(min_value=0.0, max_value=100.0)

@@ -8,7 +8,8 @@ from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_unitary,
 from spinsim.hamiltonians import SpinModelSpec, build_xy, exact_evolve
 from spinsim.linalg import kron
 from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
-                                TomographyRecord, chi_from_json, chi_of_unitary,
+                                CHI_BASIS, PROCESS_INPUT_STATES, TomographyRecord,
+                                chi_from_json, chi_of_unitary,
                                 chi_to_json, linear_inversion, negativity,
                                 process_fidelity, process_tomography,
                                 reconstruct_state, state_fidelity,
@@ -20,6 +21,12 @@ from conftest import (BELL, FIG2, SWAP, random_density, random_state,
 
 def unitary_channel(u):
     return lambda rho: u @ rho @ u.conj().T
+
+
+def chi_system():
+    """The 256x256 linear system for chi: vec_row(B_m rho B_n^dag) = A[:, 16m + n]."""
+    return np.column_stack([np.kron(bm, bn.conj()).reshape(-1)
+                            for bm in CHI_BASIS for bn in CHI_BASIS])
 
 
 class TestSynthesizeMeasurements:
@@ -111,6 +118,27 @@ class TestProcessTomography:
             w = np.linalg.eigvalsh(chi)
             assert w[-1] > 0.999999
             assert np.max(np.abs(w[:-1])) < 1e-6
+
+    def test_chi_system_columns_orthogonal(self):
+        a = chi_system()
+        assert np.max(np.abs(a.conj().T @ a - 16.0 * np.eye(256))) < 1e-12
+
+    def test_closed_form_matches_linear_solve(self, rng):
+        ins = np.column_stack([r.reshape(-1) for r in PROCESS_INPUT_STATES])
+        for rank in (1, 2, 4, 16):
+            # Kraus operators as the blocks of a random isometry C^4 -> C^(4 rank)
+            g = rng.normal(size=(4 * rank, 4)) + 1j * rng.normal(size=(4 * rank, 4))
+            v = np.linalg.qr(g)[0]
+            kraus = [v[4 * i:4 * i + 4] for i in range(rank)]
+
+            def channel(rho):
+                return sum(k @ rho @ k.conj().T for k in kraus)
+            outs = np.column_stack([channel(r).reshape(-1) for r in PROCESS_INPUT_STATES])
+            transfer = outs @ np.linalg.inv(ins)
+            ref = np.linalg.solve(chi_system(), transfer.reshape(-1)).reshape(16, 16)
+            ref = (ref + ref.conj().T) / 2.0
+            ref /= np.trace(ref).real
+            assert np.max(np.abs(process_tomography(channel) - ref)) < 1e-12
 
     def test_chi_is_hermitian_unit_trace(self, rng):
         chi = process_tomography(unitary_channel(random_unitary(rng, 4)))
