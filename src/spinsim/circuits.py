@@ -273,6 +273,10 @@ def circuit_from_text(text: str) -> Circuit:
                     n_qubits = int(v)
                 elif k in _META_INT_KEYS:
                     metadata[k] = int(v)
+                elif k == "b_over_j":
+                    metadata[k] = float(v)
+                    if not math.isfinite(metadata[k]):
+                        raise ValueError(f"b_over_j must be finite, got {v!r}")
                 else:
                     try:
                         metadata[k] = float(v)

@@ -353,14 +353,15 @@ def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
             circuits = [("input", circuit_from_text(Path(circuit_in).read_text()))]
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot read circuit {circuit_in}: {exc!r}") from exc
-        if circuits[0][1].n_qubits != 2:
-            raise ConfigError(f"circuit {circuit_in} is not a two-qubit circuit")
     else:
         circuits = [(f"theta{i:03d}", build_circuit(cfg, theta))
                     for i, theta in enumerate(cfg.theta_grid)]
     all_violations: list[str] = []
     for tag, circ in circuits:
-        timeline = schedule(circ, timing)
+        try:
+            timeline = schedule(circ, timing)
+        except ValueError as exc:
+            raise ConfigError(f"cannot schedule {tag}: {exc}") from exc
         violations = validate(timeline, timing)
         if dump_circuit:
             (out_dir / f"{cfg.protocol}_{tag}_circuit.txt").write_text(

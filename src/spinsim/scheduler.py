@@ -13,10 +13,16 @@ Timing rules enforced here and checked by ``validate``:
 All durations come from ``TimingParams``, the timing model the noise engine
 charges decoherence with.  Refocusing pi pulses are not inserted here: the
 compiled Ising sequence already carries them as gates.
+
+``schedule`` and ``validate`` each cost O(E log E) in the event count E: flux
+unit ends, buffers and event starts are kept sorted and searched with
+``bisect``, so no check compares all pairs of events.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
@@ -58,33 +64,46 @@ def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:
 
 
 def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
-    """Greedy earliest-start assignment in gate order."""
+    """Greedy earliest-start assignment in gate order.
+
+    Raises ValueError for a circuit that is not on two qubits, or whose pulse
+    times overflow the float range.
+    """
     n = circuit.n_qubits
     if n != 2:
         raise ValueError("the scheduler handles two-qubit circuits")
     period = timing.phase_period_ns
     wait = timing.post_flux_wait_ns
     ready = [0.0] * n
-    flux_unit_ends: list[float] = []
+    ends: list[tuple[float, int]] = []  # (flux unit end, placement order), sorted
+    opens: list[float] = []  # end - tol of each entry of ends
+    closes: list[float] = []  # end + wait - tol of each entry of ends
     events: list[PulseEvent] = []
     last_xy_flux_start: float | None = None
     cursor_floor = 0.0
 
     def bump(t: float) -> float:
-        # events may not start inside (unit_end, unit_end + wait)
-        changed = True
-        while changed:
-            changed = False
-            for e in flux_unit_ends:
-                if e - _TOL <= t < e + wait - _TOL:
-                    t = e + wait
-                    changed = True
-        return t
+        # No event may start in [end - tol, end + wait - tol) of a flux unit.
+        # Jump past the ends whose window holds t in the order a rescan of all
+        # ends in placement order takes them, so t is the same float.
+        last = -1
+        while True:
+            hits = ends[bisect_right(closes, t):bisect_right(opens, t)]
+            if not hits:
+                return t
+            e, last = min(hits, key=lambda u: (u[1] <= last, u[1]))
+            t = e + wait
+
+    def add_unit_end(e: float) -> None:
+        i = bisect_right(ends, (e, len(ends)))
+        ends.insert(i, (e, len(ends)))
+        opens.insert(i, e - _TOL)
+        closes.insert(i, e + wait - _TOL)
 
     def place_rz(idx: int, g: Gate, t0: float) -> None:
         dur = timing.rz_flux_ns(g, circuit.metadata)
         events.append(PulseEvent(f"flux-Q{g.qubit + 1}", t0, dur, "rz", idx))
-        flux_unit_ends.append(t0 + dur)
+        add_unit_end(t0 + dur)
         ready[g.qubit] = t0 + dur
 
     idx = 0
@@ -104,7 +123,7 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
             events.append(PulseEvent("flux-Q1", flux_start + dur,
                                      timing.buffer_ns, "buffer", idx))
             unit_end = flux_start + dur + timing.buffer_ns
-            flux_unit_ends.append(unit_end)
+            add_unit_end(unit_end)
             last_xy_flux_start = flux_start
             ready[0] = ready[1] = unit_end
         elif g.kind == "ROT" and g.axis in ("x", "y"):
@@ -133,37 +152,62 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         idx += 1
 
     total = max(
-        [cursor_floor, *ready] + [e + wait for e in flux_unit_ends]
+        [cursor_floor, *ready] + [e + wait for e, _ in ends]
         + [ev.end_ns for ev in events],
         default=0.0,
     )
     if not events and cursor_floor == 0.0:
         total = 0.0
+    if not math.isfinite(total):  # a pulse or wait overflowed the float range
+        raise ValueError(f"pulse times overflow: the timeline ends at {total} ns")
 
     events.sort(key=lambda ev: (ev.start_ns, ev.channel, ev.label))
     return PulseTimeline(tuple(events), total)
 
 
-def _flux_units(timeline: PulseTimeline) -> list[tuple[float, float, str]]:
+def _near(keyed: tuple[list[float], list], x: float) -> list:
+    """The items of ``keyed`` = (sorted keys, items) whose key is within _TOL of x.
+
+    The bisect takes a 2 * _TOL window, which holds every key that passes the
+    exact test |key - x| < _TOL whatever the rounding of that difference.
+    """
+    keys, items = keyed
+    lo, hi = bisect_left(keys, x - 2 * _TOL), bisect_right(keys, x + 2 * _TOL)
+    return [it for k, it in zip(keys[lo:hi], items[lo:hi]) if abs(k - x) < _TOL]
+
+
+def _buffer_index(evs: list[PulseEvent]):
+    """One channel's buffers keyed by start and, with their start rank, by end.
+
+    ``evs`` are the channel's events sorted by start.
+    """
+    by_start = [b for b in evs if b.label == "buffer"]
+    by_end = sorted(enumerate(by_start), key=lambda rb: rb[1].end_ns)
+    return (([b.start_ns for b in by_start], by_start),
+            ([b.end_ns for _, b in by_end], by_end))
+
+
+def _lead_trail(index, ev: PulseEvent) -> tuple[PulseEvent | None, PulseEvent | None]:
+    """The first buffers, in start order, that end where ``ev`` starts and that
+    start where it ends; None where there is none."""
+    lead, trail = _near(index[1], ev.start_ns), _near(index[0], ev.end_ns)
+    return (min(lead)[1] if lead else None), (trail[0] if trail else None)
+
+
+def _flux_units(by_channel: dict[str, list[PulseEvent]],
+                buffers: dict) -> list[tuple[float, float, str]]:
     """(start, end, kind) of each flux unit; buffers belong to their xy unit."""
     units = []
-    by_channel: dict[str, list[PulseEvent]] = {}
-    for ev in timeline.events:
-        by_channel.setdefault(ev.channel, []).append(ev)
     for channel, evs in by_channel.items():
         if not channel.startswith("flux"):
             continue
-        evs = sorted(evs, key=lambda e: e.start_ns)
         for ev in evs:
             if ev.label == "rz":
                 units.append((ev.start_ns, ev.end_ns, "rz"))
             elif ev.label == "xy":
-                lead = [b for b in evs if b.label == "buffer"
-                        and abs(b.end_ns - ev.start_ns) < _TOL]
-                trail = [b for b in evs if b.label == "buffer"
-                         and abs(b.start_ns - ev.end_ns) < _TOL]
-                start = lead[0].start_ns if lead else ev.start_ns
-                end = trail[0].end_ns if trail else ev.end_ns
+                lead, trail = _lead_trail(buffers[channel], ev)
+                start = lead.start_ns if lead else ev.start_ns
+                end = trail.end_ns if trail else ev.end_ns
                 units.append((start, end, "xy"))
     return units
 
@@ -173,41 +217,41 @@ def validate(timeline: PulseTimeline, timing: TimingParams) -> list[str]:
     violations: list[str] = []
     period = timing.phase_period_ns
     wait = timing.post_flux_wait_ns
+    events = timeline.events
 
     by_channel: dict[str, list[PulseEvent]] = {}
-    for ev in timeline.events:
+    for ev in events:
         by_channel.setdefault(ev.channel, []).append(ev)
     for channel, evs in by_channel.items():
-        evs = sorted(evs, key=lambda e: e.start_ns)
+        evs.sort(key=lambda e: e.start_ns)
         for a, b in zip(evs, evs[1:]):
             if b.start_ns < a.end_ns - _TOL:
                 violations.append(
                     f"overlap on {channel}: {a.label} at {_FMT(a.start_ns)} ns "
                     f"and {b.label} at {_FMT(b.start_ns)} ns")
+    buffers = {channel: _buffer_index(evs) for channel, evs in by_channel.items()}
 
-    flux_evs = sorted((ev for ev in timeline.events if ev.label == "xy"),
+    flux_evs = sorted((ev for ev in events if ev.label == "xy"),
                       key=lambda e: e.start_ns)
     for ev in flux_evs:
-        same = by_channel.get(ev.channel, [])
-        has_lead = any(b.label == "buffer" and abs(b.end_ns - ev.start_ns) < _TOL
-                       for b in same)
-        has_trail = any(b.label == "buffer" and abs(b.start_ns - ev.end_ns) < _TOL
-                        for b in same)
-        if not (has_lead and has_trail):
+        if not all(_lead_trail(buffers[ev.channel], ev)):
             violations.append(
                 f"xy flux pulse at {_FMT(ev.start_ns)} ns on {ev.channel} "
                 f"lacks its {timing.buffer_ns:g} ns buffers")
 
-    units = _flux_units(timeline)
-    for start, end, kind in units:
-        for ev in timeline.events:
-            if end - _TOL <= ev.start_ns < end + wait - _TOL:
-                if ev.start_ns >= start - _TOL and ev.end_ns <= end + _TOL:
-                    continue  # member of this unit
-                violations.append(
-                    f"post-flux wait violated: {ev.label} on {ev.channel} starts "
-                    f"{_FMT(ev.start_ns - end)} ns after the {kind} unit ending "
-                    f"at {_FMT(end)} ns (need >= {wait:g} ns)")
+    order = sorted(range(len(events)), key=lambda i: events[i].start_ns)
+    starts = [events[i].start_ns for i in order]
+    for start, end, kind in _flux_units(by_channel, buffers):
+        # events starting in [end - tol, end + wait - tol), in timeline order
+        window = order[bisect_left(starts, end - _TOL):
+                       bisect_left(starts, end + wait - _TOL)]
+        for ev in (events[i] for i in sorted(window)):
+            if ev.start_ns >= start - _TOL and ev.end_ns <= end + _TOL:
+                continue  # member of this unit
+            violations.append(
+                f"post-flux wait violated: {ev.label} on {ev.channel} starts "
+                f"{_FMT(ev.start_ns - end)} ns after the {kind} unit ending "
+                f"at {_FMT(end)} ns (need >= {wait:g} ns)")
 
     for a, b in zip(flux_evs, flux_evs[1:]):
         gap = b.start_ns - a.start_ns

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
                              compile_ising)
+
+
+# Property tests draw the same examples on every run, so a test run is
+# repeatable and two runs compare like for like.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 def random_hermitian(rng, dim=4):

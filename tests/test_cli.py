@@ -227,12 +227,18 @@ def test_flag_overrides_beat_config(tmp_path):
 
 
 # --circuit-in files written by test_input_errors_exit_2
+FIELD_CIRCUIT = ("# n_qubits=2 protocol=ising b_over_j={}\n"
+                 "ROT axis=z angle=0.5 q=0\nROT axis=z angle=0.5 q=1\nXY theta=1.0\n")
 BAD_CIRCUITS = {
     "bad.txt": "# n_qubits=2\nXY foo=1\n",
     "nan-theta.txt": "# n_qubits=2\nXY theta=nan\n",
     "inf-angle.txt": "# n_qubits=2\nROT axis=z angle=inf q=0\n",
     "nan-wait.txt": "# n_qubits=2\nWAIT ns=nan\n",
     "three-qubits.txt": "# n_qubits=3\nXY theta=1.0\n",
+    "b-over-j-abc.txt": FIELD_CIRCUIT.format("abc"),
+    "b-over-j-nan.txt": FIELD_CIRCUIT.format("nan"),
+    "b-over-j-inf.txt": FIELD_CIRCUIT.format("inf"),
+    "b-over-j-tiny.txt": FIELD_CIRCUIT.format("1e-310"),
 }
 
 
@@ -267,6 +273,16 @@ BAD_CIRCUITS = {
                  id="circuit-in-nan-wait"),
     pytest.param("schedule", {}, ["--circuit-in", "three-qubits.txt"],
                  id="circuit-in-three-qubits"),
+    pytest.param("schedule", {}, ["--circuit-in", "b-over-j-abc.txt"],
+                 id="circuit-in-b-over-j-text"),
+    pytest.param("schedule", {}, ["--circuit-in", "b-over-j-nan.txt"],
+                 id="circuit-in-b-over-j-nan"),
+    pytest.param("schedule", {}, ["--circuit-in", "b-over-j-inf.txt"],
+                 id="circuit-in-b-over-j-inf"),
+    pytest.param("schedule", {}, ["--circuit-in", "b-over-j-tiny.txt"],
+                 id="circuit-in-rz-pulse-overflow"),
+    pytest.param("schedule", {}, ["--protocol", "xy", "--thetas", "1e308"],
+                 id="xy-pulse-overflow"),
     pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],
                  id="n_steps-fractional"),
     pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),

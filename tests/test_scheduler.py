@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -185,3 +186,280 @@ def test_theta_zero_schedules_clean(protocol, theta):
     timing = TimingParams()
     c = compiled_circuit(protocol, theta, 2, 3.0, -1)
     assert validate(schedule(c, timing), timing) == []
+
+
+def test_ising_n1000_schedules_clean_and_commensurate():
+    # 10,000 gates, too many for all-pairs scans to finish in a test run
+    timing = TimingParams()
+    c = compile_ising(EvolutionParams(np.pi / 2, 1000, 3.0))
+    assert len(c.gates) == 10_000
+    tl = schedule(c, timing)
+    assert validate(tl, timing) == []
+    starts = np.array([e.start_ns for e in tl.events if e.label == "xy"])
+    # each start within tol/2 of a whole number of periods after the first,
+    # so every pair of xy starts is commensurate within tol
+    r = (starts - starts[0]) % timing.phase_period_ns
+    assert np.minimum(r, timing.phase_period_ns - r).max() < 0.5e-9
+
+
+# Equivalence with the all-pairs scheduler and validator.  The references
+# below are the quadratic implementations the bisect-indexed ones replaced,
+# spelled out; the indexed code must give the same floats, the same
+# violations and the same message order.
+
+_TOL = 1e-9
+_FMT = "{:.12g}".format
+
+
+def schedule_reference(circuit, timing):
+    """``schedule`` with bump rescanning every flux-unit end until nothing moves."""
+    period = timing.phase_period_ns
+    wait = timing.post_flux_wait_ns
+    ready = [0.0, 0.0]
+    flux_unit_ends = []
+    events = []
+    last_xy_flux_start = None
+    cursor_floor = 0.0
+
+    def bump(t):
+        changed = True
+        while changed:
+            changed = False
+            for e in flux_unit_ends:
+                if e - _TOL <= t < e + wait - _TOL:
+                    t = e + wait
+                    changed = True
+        return t
+
+    def place_rz(idx, g, t0):
+        dur = timing.rz_flux_ns(g, circuit.metadata)
+        events.append(PulseEvent(f"flux-Q{g.qubit + 1}", t0, dur, "rz", idx))
+        flux_unit_ends.append(t0 + dur)
+        ready[g.qubit] = t0 + dur
+
+    idx = 0
+    gates = circuit.gates
+    while idx < len(gates):
+        g = gates[idx]
+        if g.kind == "XY":
+            t0 = bump(max(ready[0], ready[1], cursor_floor))
+            flux_start = t0 + timing.buffer_ns
+            if last_xy_flux_start is not None:
+                pad = commensurate_padding(flux_start - last_xy_flux_start, period)
+                t0 += pad
+                flux_start += pad
+            dur = timing.theta_to_ns * g.theta
+            events.append(PulseEvent("flux-Q1", t0, timing.buffer_ns, "buffer", idx))
+            events.append(PulseEvent("flux-Q1", flux_start, dur, "xy", idx))
+            events.append(PulseEvent("flux-Q1", flux_start + dur,
+                                     timing.buffer_ns, "buffer", idx))
+            unit_end = flux_start + dur + timing.buffer_ns
+            flux_unit_ends.append(unit_end)
+            last_xy_flux_start = flux_start
+            ready[0] = ready[1] = unit_end
+        elif g.kind == "ROT" and g.axis in ("x", "y"):
+            t0 = bump(max(ready[g.qubit], cursor_floor))
+            events.append(PulseEvent(f"drive-Q{g.qubit + 1}", t0,
+                                     timing.single_qubit_ns, f"rot_{g.axis}", idx))
+            ready[g.qubit] = t0 + timing.single_qubit_ns
+        elif g.kind == "ROT":
+            nxt = gates[idx + 1] if idx + 1 < len(gates) else None
+            if (nxt is not None and nxt.kind == "ROT" and nxt.axis == "z"
+                    and nxt.qubit != g.qubit):
+                t0 = bump(max(ready[0], ready[1], cursor_floor))
+                place_rz(idx, g, t0)
+                place_rz(idx + 1, nxt, t0)
+                idx += 2
+                continue
+            place_rz(idx, g, bump(max(ready[g.qubit], cursor_floor)))
+        else:
+            cursor_floor = max(max(ready), cursor_floor) + g.duration_ns
+            ready = [max(r, cursor_floor) for r in ready]
+        idx += 1
+
+    total = max([cursor_floor, *ready] + [e + wait for e in flux_unit_ends]
+                + [ev.end_ns for ev in events])
+    if not events and cursor_floor == 0.0:
+        total = 0.0
+    events.sort(key=lambda ev: (ev.start_ns, ev.channel, ev.label))
+    return PulseTimeline(tuple(events), total)
+
+
+def flux_units_reference(timeline):
+    units = []
+    by_channel = {}
+    for ev in timeline.events:
+        by_channel.setdefault(ev.channel, []).append(ev)
+    for channel, evs in by_channel.items():
+        if not channel.startswith("flux"):
+            continue
+        evs = sorted(evs, key=lambda e: e.start_ns)
+        for ev in evs:
+            if ev.label == "rz":
+                units.append((ev.start_ns, ev.end_ns, "rz"))
+            elif ev.label == "xy":
+                lead = [b for b in evs if b.label == "buffer"
+                        and abs(b.end_ns - ev.start_ns) < _TOL]
+                trail = [b for b in evs if b.label == "buffer"
+                         and abs(b.start_ns - ev.end_ns) < _TOL]
+                start = lead[0].start_ns if lead else ev.start_ns
+                end = trail[0].end_ns if trail else ev.end_ns
+                units.append((start, end, "xy"))
+    return units
+
+
+def validate_reference(timeline, timing):
+    """``validate`` with every flux unit tested against every event."""
+    violations = []
+    period = timing.phase_period_ns
+    wait = timing.post_flux_wait_ns
+    by_channel = {}
+    for ev in timeline.events:
+        by_channel.setdefault(ev.channel, []).append(ev)
+    for channel, evs in by_channel.items():
+        evs = sorted(evs, key=lambda e: e.start_ns)
+        for a, b in zip(evs, evs[1:]):
+            if b.start_ns < a.end_ns - _TOL:
+                violations.append(
+                    f"overlap on {channel}: {a.label} at {_FMT(a.start_ns)} ns "
+                    f"and {b.label} at {_FMT(b.start_ns)} ns")
+    flux_evs = sorted((ev for ev in timeline.events if ev.label == "xy"),
+                      key=lambda e: e.start_ns)
+    for ev in flux_evs:
+        same = by_channel.get(ev.channel, [])
+        has_lead = any(b.label == "buffer" and abs(b.end_ns - ev.start_ns) < _TOL
+                       for b in same)
+        has_trail = any(b.label == "buffer" and abs(b.start_ns - ev.end_ns) < _TOL
+                        for b in same)
+        if not (has_lead and has_trail):
+            violations.append(
+                f"xy flux pulse at {_FMT(ev.start_ns)} ns on {ev.channel} "
+                f"lacks its {timing.buffer_ns:g} ns buffers")
+    for start, end, kind in flux_units_reference(timeline):
+        for ev in timeline.events:
+            if end - _TOL <= ev.start_ns < end + wait - _TOL:
+                if ev.start_ns >= start - _TOL and ev.end_ns <= end + _TOL:
+                    continue
+                violations.append(
+                    f"post-flux wait violated: {ev.label} on {ev.channel} starts "
+                    f"{_FMT(ev.start_ns - end)} ns after the {kind} unit ending "
+                    f"at {_FMT(end)} ns (need >= {wait:g} ns)")
+    for a, b in zip(flux_evs, flux_evs[1:]):
+        gap = b.start_ns - a.start_ns
+        r = gap % period
+        if r > _TOL and period - r > _TOL:
+            violations.append(
+                f"commensurability violated: {_FMT(gap)} ns between XY pulses at "
+                f"{_FMT(a.start_ns)} and {_FMT(b.start_ns)} ns, "
+                f"{_FMT(period - r)} ns deficit")
+    return violations
+
+
+compiled_circuits = st.builds(
+    compiled_circuit, protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+    theta=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4 * np.pi)),
+    n=st.integers(min_value=1, max_value=30),
+    b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+    j_sign=st.sampled_from((-1, 1)))
+
+# Hand-built sequences place rz units on one qubit before units already on the
+# other, so flux-unit ends arrive out of time order.  Near-equal angles give
+# paired rz pulses whose ends lie within tol of each other.
+NEAR = (1.0, 1.0 - 5e-10, 1.0 + 5e-10)
+angles = st.one_of(st.sampled_from(NEAR), st.floats(min_value=-2 * np.pi,
+                                                     max_value=2 * np.pi))
+gates = st.one_of(
+    st.builds(Gate.rot, st.sampled_from("xyz"), angles, st.integers(0, 1)),
+    st.builds(Gate.xy, st.floats(min_value=0.0, max_value=4 * np.pi)),
+    st.builds(Gate.wait, st.one_of(st.sampled_from((1e-10, 5e-10)), durations)))
+hand_built_circuits = st.builds(
+    lambda gs, b: Circuit(2, tuple(gs), {} if b is None else {"b_over_j": b}),
+    st.lists(gates, max_size=40),
+    st.one_of(st.sampled_from((None, 0.5, -3.0)),
+              st.floats(min_value=-5.0, max_value=5.0)))
+
+
+@settings(deadline=None)
+@given(circuit=st.one_of(compiled_circuits, hand_built_circuits), timing=timings)
+def test_schedule_matches_rescan_reference(circuit, timing):
+    ref = schedule_reference(circuit, timing)
+    if not np.isfinite(ref.total_ns):  # e.g. a subnormal b_over_j: infinite rz
+        with pytest.raises(ValueError, match="overflow"):
+            schedule(circuit, timing)
+        return
+    tl = schedule(circuit, timing)
+    assert timeline_to_csv(tl) == timeline_to_csv(ref)
+    assert tl == ref  # every float, total_ns included
+
+
+# A paired rz pulse on Q1 and Q2 with angles a1 and a2 (pulse lengths in ns
+# here), then a rot_x on Q1, which starts inside the Q1 unit's post-flux window.
+@pytest.mark.parametrize("a1, a2, rot_start", [
+    # The Q2 end (24 ns) lies within tol after the Q1 end and was placed
+    # first.  The rescan jumps past it to 64 ns, and the Q1 window then no
+    # longer holds t; taking the ends in time order would give 64 - 5e-10 ns.
+    (24.0 - 5e-10, 24.0, 64.0),
+    # Past the Q1 end to 50 ns, which the Q2 window (40, 80) holds: on to 80.
+    (10.0, 40.0, 80.0),
+])
+def test_bump_matches_rescan(a1, a2, rot_start):
+    timing = TimingParams(theta_to_ns=1.0)
+    c = Circuit(2, (Gate.rot("z", a2, 1), Gate.rot("z", a1, 0), Gate.rot("x", 1.0, 0)),
+                {"b_over_j": 2.0})
+    tl = schedule(c, timing)
+    assert tl == schedule_reference(c, timing)
+    assert [e.start_ns for e in tl.events if e.label == "rot_x"] == [rot_start]
+
+
+def test_post_flux_violations_in_timeline_order():
+    # both drive pulses start inside the wait after the unit ending at 38 ns;
+    # they are reported in tuple order, not start order
+    events = (PulseEvent("flux-Q1", 0.0, 16.0, "buffer", 0),
+              PulseEvent("flux-Q1", 16.0, 6.0, "xy", 0),
+              PulseEvent("flux-Q1", 22.0, 16.0, "buffer", 0),
+              PulseEvent("drive-Q2", 50.0, 24.0, "rot_x", 2),
+              PulseEvent("drive-Q1", 45.0, 24.0, "rot_x", 1))
+    tl = PulseTimeline(events, 74.0)
+    msgs = validate(tl, TimingParams())
+    assert msgs == validate_reference(tl, TimingParams())
+    assert [m.split(" starts ")[0] for m in msgs] == [
+        "post-flux wait violated: rot_x on drive-Q2",
+        "post-flux wait violated: rot_x on drive-Q1"]
+
+
+SHIFTS = st.one_of(st.sampled_from((-3.0, 0.5, 1e-10, -1e-10)),
+                   st.floats(min_value=-60.0, max_value=60.0))
+CHANNELS = ("flux-Q1", "flux-Q2", "drive-Q1", "drive-Q2")
+
+
+@st.composite
+def perturbed_timelines(draw):
+    """A scheduled timeline with events shifted, dropped, duplicated, moved
+    to another channel, and the event tuple shuffled."""
+    timing = draw(timings)
+    tl = schedule(draw(compiled_circuits), timing)
+    evs = list(tl.events)
+    for _ in range(draw(st.integers(0, 12))):
+        if not evs:
+            break
+        i = draw(st.integers(0, len(evs) - 1))
+        op = draw(st.sampled_from(("shift", "drop", "duplicate", "move")))
+        if op == "shift":
+            evs[i] = dataclasses.replace(
+                evs[i], start_ns=evs[i].start_ns + draw(SHIFTS))
+        elif op == "drop":
+            del evs[i]
+        elif op == "duplicate":
+            evs.insert(draw(st.integers(0, len(evs))), evs[i])
+        else:
+            evs[i] = dataclasses.replace(evs[i], channel=draw(st.sampled_from(CHANNELS)))
+    if draw(st.booleans()):
+        evs = draw(st.permutations(evs))
+    return PulseTimeline(tuple(evs), tl.total_ns), timing
+
+
+@settings(deadline=None)
+@given(case=perturbed_timelines())
+def test_validate_matches_all_pairs_reference(case):
+    timeline, timing = case
+    assert validate(timeline, timing) == validate_reference(timeline, timing)
