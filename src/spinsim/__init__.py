@@ -2,11 +2,11 @@
 
 from .circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                        circuit_to_text, circuit_unitary, compile_heisenberg,
-                       compile_ising, gate_unitary, phase_distance,
+                       compile_ising, compile_xy, gate_unitary, phase_distance,
                        trotter_fidelity)
 from .hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
                            build_ising, build_xy, dominant_angular_frequency,
-                           exact_evolve)
+                           exact_evolve, oracle_hamiltonian)
 from .linalg import (expectation, herm_expm, kron, partial_transpose)
 from .noise import (NoiseParams, THETA_TO_NS, TimingParams, decoherence_kraus,
                     gate_duration_ns, predicted_fidelity, simulate_noisy,
@@ -25,12 +25,13 @@ __all__ = [
     "PulseEvent", "PulseTimeline", "SpinModelSpec", "THETA_TO_NS",
     "TimingParams", "TomographyRecord", "build_hamiltonian",
     "build_heisenberg", "build_ising", "build_xy", "chi_from_json",
-    "chi_of_unitary", "chi_to_json", "circuit_from_text", "circuit_to_text",
-    "circuit_unitary", "commensurate_padding", "compile_heisenberg",
-    "compile_ising", "decoherence_kraus", "dominant_angular_frequency",
-    "exact_evolve", "expectation", "gate_duration_ns",
-    "gate_footprint_durations", "gate_unitary", "herm_expm", "kron",
-    "linear_inversion", "negativity", "partial_transpose", "phase_distance",
+    "chi_of_unitary", "chi_to_json", "circuit_from_text",
+    "circuit_to_text", "circuit_unitary", "commensurate_padding",
+    "compile_heisenberg", "compile_ising", "compile_xy",
+    "decoherence_kraus", "dominant_angular_frequency", "exact_evolve",
+    "expectation", "gate_duration_ns", "gate_footprint_durations",
+    "gate_unitary", "herm_expm", "kron", "linear_inversion", "negativity",
+    "oracle_hamiltonian", "partial_transpose", "phase_distance",
     "predicted_fidelity", "process_fidelity", "process_tomography",
     "reconstruct_state", "schedule", "simulate_noisy", "state_fidelity",
     "synthesize_measurements", "timeline_to_csv", "trotter_fidelity",

@@ -1,5 +1,9 @@
 """Gate set, circuit IR and the digital decompositions of the spin models.
 
+Every circuit acts on the two-qubit register; ``Circuit`` rejects any other
+size.  ``compile_xy``, ``compile_heisenberg`` and ``compile_ising`` are the
+one definition of each protocol's gate sequence.
+
 Conventions, pinned by the tests:
 
 * ``XY(theta)`` is the exchange gate at quantum phase angle theta = 2|J|tau.
@@ -31,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ID2, PAULIS_1Q, kron, op_on_qubit
+from .hamiltonians import exact_evolve, oracle_hamiltonian
+from .linalg import ID2, PAULIS_1Q, op_on_qubit
 
 HALF_PI = math.pi / 2.0
 
@@ -79,16 +84,18 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate sequence on the two-qubit register."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_qubits != 2:
+            raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits}")
         for g in self.gates:
-            if g.kind == "ROT" and g.qubit >= self.n_qubits:
-                raise ValueError(f"gate targets qubit {g.qubit} of {self.n_qubits}")
-            if g.kind == "XY" and self.n_qubits < 2:
-                raise ValueError("XY gate needs at least two qubits")
+            if g.kind == "ROT" and g.qubit >= 2:
+                raise ValueError(f"gate targets qubit {g.qubit} of 2")
 
 
 @dataclass(frozen=True)
@@ -109,31 +116,27 @@ def _rot_matrix(axis: str, angle: float) -> np.ndarray:
     return math.cos(angle / 2.0) * ID2 - 1j * math.sin(angle / 2.0) * s
 
 
-def gate_unitary(g: Gate, n_qubits: int = 2, j_sign: int = -1) -> np.ndarray:
-    """Unitary of a single gate on the full register."""
+def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
+    """Unitary of a single gate on the two-qubit register."""
     if g.kind == "XY":
-        if n_qubits < 2:
-            raise ValueError("XY gate needs two qubits")
         c, s = math.cos(g.theta / 2.0), math.sin(g.theta / 2.0)
         u = np.eye(4, dtype=complex)
         u[1, 1] = u[2, 2] = c
         u[1, 2] = u[2, 1] = -1j * j_sign * s
-        if n_qubits > 2:
-            u = kron(u, np.eye(2 ** (n_qubits - 2)))
         return u
     if g.kind == "ROT":
-        return op_on_qubit(_rot_matrix(g.axis, g.angle), g.qubit, n_qubits)
+        return op_on_qubit(_rot_matrix(g.axis, g.angle), g.qubit)
     if g.kind == "WAIT":
-        return np.eye(2 ** n_qubits, dtype=complex)
+        return np.eye(4, dtype=complex)
     raise ValueError(f"unknown gate kind {g.kind!r}")
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: first gate applied first."""
     j_sign = int(c.metadata.get("j_sign", -1))
-    u = np.eye(2 ** c.n_qubits, dtype=complex)
+    u = np.eye(4, dtype=complex)
     for g in c.gates:
-        u = gate_unitary(g, c.n_qubits, j_sign) @ u
+        u = gate_unitary(g, j_sign) @ u
     return u
 
 
@@ -150,6 +153,12 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
         g = num / den
     phase = g / abs(g)
     return float(np.max(np.abs(u - phase * v)))
+
+
+def compile_xy(params: EvolutionParams, j_sign: int = -1) -> Circuit:
+    """Exchange-coupling evolution: one XY gate at phase angle theta, exact."""
+    meta = {"protocol": "xy", "theta": params.theta, "n_steps": 1, "j_sign": j_sign}
+    return Circuit(n_qubits=2, gates=(Gate.xy(params.theta),), metadata=meta)
 
 
 def compile_heisenberg(params: EvolutionParams, j_sign: int = -1) -> Circuit:
@@ -187,8 +196,6 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     O(1/n^4).  Two consecutive pi pulses on Q2 per step mirror the hardware
     refocusing sequence; their net effect is the identity.
     """
-    if params.n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     n = params.n_steps
     th = params.theta
     step_theta = th / n
@@ -218,13 +225,11 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
 def trotter_fidelity(params: EvolutionParams, psi0: np.ndarray,
                      j_sign: int = -1) -> float:
     """|<psi_exact(theta)| U_circuit |psi0>|^2 against the exact Ising oracle."""
-    from .hamiltonians import SpinModelSpec, build_ising, exact_evolve
-
     psi0 = np.asarray(psi0, dtype=complex)
     circ = compile_ising(params, j_sign=j_sign)
     psi_circ = circuit_unitary(circ) @ psi0
-    spec = SpinModelSpec.ising(jx=1.0, b=j_sign * params.b_over_j, j_sign=j_sign)
-    psi_exact = exact_evolve(build_ising(spec), params.theta / 2.0, psi0)
+    h = oracle_hamiltonian("ising", params.b_over_j, j_sign)
+    psi_exact = exact_evolve(h, params.theta / 2.0, psi0)
     f = abs(np.vdot(psi_exact, psi_circ)) ** 2
     return float(min(max(f, 0.0), 1.0))
 

@@ -25,17 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import (Circuit, EvolutionParams, Gate, circuit_to_text,
+from .circuits import (Circuit, EvolutionParams, circuit_to_text,
                        circuit_from_text, circuit_unitary, compile_heisenberg,
-                       compile_ising)
-from .hamiltonians import SpinModelSpec, build_hamiltonian, exact_evolve
-from .linalg import SX, SY, SZ, kron
+                       compile_ising, compile_xy)
+from .hamiltonians import exact_evolve, oracle_hamiltonian
 from .noise import (F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity,
                     simulate_noisy)
 from .scheduler import schedule, timeline_to_csv, validate
-from .tomography import (FidelityReport, chi_of_unitary, chi_to_json,
-                         negativity, process_fidelity, process_tomography,
-                         state_fidelity)
+from .tomography import (PAULI_LABELS_2Q, PAULI_MATRICES_2Q, FidelityReport,
+                         chi_of_unitary, chi_to_json, negativity,
+                         process_fidelity, process_tomography, state_fidelity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,12 +54,10 @@ PRESETS = {
 PROTOCOLS = ("xy", "heisenberg", "ising")
 _DEFAULT_GRID = tuple(k * math.pi / 16.0 for k in range(33))
 
-_OBS = {
-    "sx1": kron(SX, np.eye(2)), "sy1": kron(SY, np.eye(2)), "sz1": kron(SZ, np.eye(2)),
-    "sx2": kron(np.eye(2), SX), "sy2": kron(np.eye(2), SY), "sz2": kron(np.eye(2), SZ),
-    "xx_corr": kron(SX, SX),
-}
 _OBS_COLS = ("sx1", "sy1", "sz1", "sx2", "sy2", "sz2", "xx_corr", "negativity")
+# Pauli observable of each column before negativity; qubit 1 is written first
+_OBS = tuple(PAULI_MATRICES_2Q[PAULI_LABELS_2Q.index(label)]
+             for label in ("XI", "YI", "ZI", "IX", "IY", "IZ", "XX"))
 
 
 class ConfigError(ValueError):
@@ -91,6 +88,8 @@ class RunConfig:
             raise ConfigError("theta values must be non-negative")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
+        if not self.n_list:
+            raise ConfigError("n_list must not be empty")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be >= 1")
         if self.j_sign not in (-1, 1):
@@ -156,8 +155,7 @@ def _noise_from_dict(obj) -> NoiseParams | None:
         timing = {_GATE_DURATION_FIELDS[k]: float(v) for k, v in durations.items()}
         if "theta_to_ns" in obj:
             timing["theta_to_ns"] = float(obj["theta_to_ns"])
-        kwargs = {k: tuple(float(x) for x in obj[k])
-                  for k in ("t1_us", "t2_us") if k in obj}
+        kwargs = {k: _array(obj[k], float) for k in ("t1_us", "t2_us") if k in obj}
         kwargs.update({k: float(obj[k]) for k in _NOISE_FLOATS if k in obj})
         return NoiseParams(timing=TimingParams(**timing), **kwargs)
     except (TypeError, ValueError) as exc:
@@ -171,13 +169,20 @@ def _integral(v) -> int:
     return int(v)
 
 
+def _array(v, convert) -> tuple:
+    """A JSON array converted entry by entry; a string is not an array."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected an array, got {v!r}")
+    return tuple(convert(x) for x in v)
+
+
 # config key -> conversion of its JSON value; initial_state and noise are
 # parsed by RunConfig.psi0 and _noise_from_dict
 _CONVERSIONS = {
     "protocol": str,
-    "theta_grid": lambda v: tuple(float(t) for t in v),
+    "theta_grid": lambda v: _array(v, float),
     "n_steps": _integral,
-    "n_list": lambda v: tuple(_integral(n) for n in v),
+    "n_list": lambda v: _array(v, _integral),
     "b_over_j": float,
     "j_sign": _integral,
 }
@@ -214,24 +219,23 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def build_circuit(cfg: RunConfig, theta: float) -> Circuit:
+    # compilers are looked up by name at call time, so a wrapper installed on
+    # this module sees every call
     if cfg.protocol == "xy":
-        meta = {"protocol": "xy", "theta": theta, "n_steps": 1, "j_sign": cfg.j_sign}
-        return Circuit(2, (Gate.xy(theta),), meta)
+        return _compile(compile_xy, EvolutionParams(theta), cfg.j_sign)
     if cfg.protocol == "heisenberg":
-        return compile_heisenberg(EvolutionParams(theta), j_sign=cfg.j_sign)
-    return compile_ising(
-        EvolutionParams(theta, cfg.n_steps, cfg.b_over_j), j_sign=cfg.j_sign)
+        return _compile(compile_heisenberg, EvolutionParams(theta), cfg.j_sign)
+    return _compile(compile_ising, EvolutionParams(theta, cfg.n_steps, cfg.b_over_j),
+                    cfg.j_sign)
 
 
-def oracle_hamiltonian(cfg: RunConfig) -> np.ndarray:
-    if cfg.protocol == "xy":
-        spec = SpinModelSpec.xy(j_sign=cfg.j_sign)
-    elif cfg.protocol == "heisenberg":
-        spec = SpinModelSpec.heisenberg(1.0, 1.0, 1.0, j_sign=cfg.j_sign)
-    else:
-        spec = SpinModelSpec.ising(
-            jx=1.0, b=cfg.j_sign * cfg.b_over_j, j_sign=cfg.j_sign)
-    return build_hamiltonian(spec)
+def _compile(compiler, params: EvolutionParams, j_sign: int) -> Circuit:
+    """Run a protocol compiler; a gate angle that overflows is a config error."""
+    try:
+        return compiler(params, j_sign=j_sign)
+    except ValueError as exc:
+        raise ConfigError(f"cannot compile theta={params.theta!r} "
+                          f"n={params.n_steps}: {exc}") from exc
 
 
 def _check_finite(rows) -> None:
@@ -255,13 +259,13 @@ def _bloch_row(state) -> list[float]:
         rho = np.outer(state, np.conj(state))
     else:
         rho = np.asarray(state)
-    vals = [float(np.trace(rho @ _OBS[k]).real) for k in _OBS_COLS[:-1]]
+    vals = [float(np.trace(rho @ obs).real) for obs in _OBS]
     vals.append(negativity(rho))
     return vals
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    h = oracle_hamiltonian(cfg)
+    h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
     header = ["theta", *_OBS_COLS, "fid_vs_exact"]
@@ -285,17 +289,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
-    spec = SpinModelSpec.ising(jx=1.0, b=cfg.j_sign * cfg.b_over_j, j_sign=cfg.j_sign)
-    h = build_hamiltonian(spec)
+    h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
     psi0 = cfg.psi0() if cfg.initial_state is not None else np.array(
         PRESETS["fig3"], dtype=complex)
     rho0 = np.outer(psi0, psi0.conj())
     rows = []
     for theta in cfg.theta_grid:
+        # compile first: an overflowing field angle is a config error, and the
+        # oracle would only warn about it
+        circuits = [_compile(compile_ising, EvolutionParams(theta, n, cfg.b_over_j),
+                             cfg.j_sign) for n in cfg.n_list]
         psi_exact = exact_evolve(h, theta / 2.0, psi0)
-        for n in cfg.n_list:
-            circ = compile_ising(EvolutionParams(theta, n, cfg.b_over_j),
-                                 j_sign=cfg.j_sign)
+        for n, circ in zip(cfg.n_list, circuits):
             psi_circ = circuit_unitary(circ) @ psi0
             fid_ideal = state_fidelity(psi_circ, psi_exact)
             if cfg.noise is not None:

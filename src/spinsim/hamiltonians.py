@@ -1,4 +1,8 @@
-"""Spin-model Hamiltonians and the exact-evolution oracle.
+"""Two-spin Hamiltonians and the exact-evolution oracle.
+
+The XY, anisotropic-Heisenberg and transverse-field-Ising builders are fixed
+Pauli sums on the two-spin register; ``oracle_hamiltonian`` picks the one a
+protocol simulates.
 
 Couplings and fields are dimensionless, in units of the exchange-coupling
 magnitude |J|.  Evolution times are phase times: evolving for t = theta/2
@@ -12,22 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, SX, SY, SZ, herm_expm, kron_all
+from .linalg import ID2, SX, SY, SZ, herm_expm, kron
 
 VALID_KINDS = ("XY", "XYZ", "ISING")
 
 
 @dataclass(frozen=True)
 class SpinModelSpec:
-    """Which spin model to build, with couplings in units of |J|.
+    """Which two-spin model to build, with couplings in units of |J|.
 
     ``j_sign`` carries the sign of the device exchange coupling and
     multiplies jx/jy/jz; the field ``b`` is signed as given.
     """
 
     kind: str
-    n_spins: int = 2
-    pairs: tuple[tuple[int, int], ...] = ((0, 1),)
     jx: float = 1.0
     jy: float = 0.0
     jz: float = 0.0
@@ -37,92 +39,48 @@ class SpinModelSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_spins < 2:
-            raise ValueError("need at least two spins")
         if self.j_sign not in (-1, 1):
             raise ValueError("j_sign must be +1 or -1")
-        seen = set()
-        for i, j in self.pairs:
-            if i == j:
-                raise ValueError(f"pair ({i}, {j}) couples a spin to itself")
-            if not (0 <= i < self.n_spins and 0 <= j < self.n_spins):
-                raise ValueError(f"pair ({i}, {j}) out of range for {self.n_spins} spins")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate pair ({i}, {j})")
-            seen.add(key)
         if self.kind == "ISING" and (self.jy != 0.0 or self.jz != 0.0):
             raise ValueError("ISING model has jy = jz = 0")
 
     @classmethod
-    def xy(cls, jx: float = 1.0, j_sign: int = -1, n_spins: int = 2,
-           pairs=((0, 1),)) -> "SpinModelSpec":
-        return cls(kind="XY", n_spins=n_spins, pairs=tuple(pairs), jx=jx, j_sign=j_sign)
+    def xy(cls, jx: float = 1.0, j_sign: int = -1) -> "SpinModelSpec":
+        return cls(kind="XY", jx=jx, j_sign=j_sign)
 
     @classmethod
-    def heisenberg(cls, jx: float, jy: float, jz: float, j_sign: int = -1,
-                   n_spins: int = 2, pairs=((0, 1),)) -> "SpinModelSpec":
-        return cls(kind="XYZ", n_spins=n_spins, pairs=tuple(pairs),
-                   jx=jx, jy=jy, jz=jz, j_sign=j_sign)
+    def heisenberg(cls, jx: float, jy: float, jz: float,
+                   j_sign: int = -1) -> "SpinModelSpec":
+        return cls(kind="XYZ", jx=jx, jy=jy, jz=jz, j_sign=j_sign)
 
     @classmethod
-    def ising(cls, jx: float = 1.0, b: float = 0.0, j_sign: int = -1,
-              n_spins: int = 2, pairs=((0, 1),)) -> "SpinModelSpec":
-        return cls(kind="ISING", n_spins=n_spins, pairs=tuple(pairs),
-                   jx=jx, b=b, j_sign=j_sign)
-
-
-def _two_site(a: np.ndarray, b: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    ops = [ID2] * n
-    ops[i] = a
-    ops[j] = b
-    return kron_all(*ops)
-
-
-def _one_site(a: np.ndarray, i: int, n: int) -> np.ndarray:
-    ops = [ID2] * n
-    ops[i] = a
-    return kron_all(*ops)
+    def ising(cls, jx: float = 1.0, b: float = 0.0, j_sign: int = -1) -> "SpinModelSpec":
+        return cls(kind="ISING", jx=jx, b=b, j_sign=j_sign)
 
 
 def build_xy(spec: SpinModelSpec) -> np.ndarray:
-    """(J/2) sum over pairs of (XiXj + YiYj), J = j_sign * jx."""
+    """(J/2)(X1X2 + Y1Y2), J = j_sign * jx."""
     if spec.kind != "XY":
         raise ValueError(f"build_xy needs kind XY, got {spec.kind}")
-    n = spec.n_spins
     j = spec.j_sign * spec.jx
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i, k in spec.pairs:
-        h += (j / 2.0) * (_two_site(SX, SX, i, k, n) + _two_site(SY, SY, i, k, n))
-    return h
+    return (j / 2.0) * (kron(SX, SX) + kron(SY, SY))
 
 
 def build_heisenberg(spec: SpinModelSpec) -> np.ndarray:
-    """Sum over pairs of Jx XiXj + Jy YiYj + Jz ZiZj, Jk = j_sign * jk."""
+    """Jx X1X2 + Jy Y1Y2 + Jz Z1Z2, Jk = j_sign * jk."""
     if spec.kind != "XYZ":
         raise ValueError(f"build_heisenberg needs kind XYZ, got {spec.kind}")
-    n = spec.n_spins
     jx, jy, jz = (spec.j_sign * spec.jx, spec.j_sign * spec.jy, spec.j_sign * spec.jz)
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i, k in spec.pairs:
-        h += jx * _two_site(SX, SX, i, k, n)
-        h += jy * _two_site(SY, SY, i, k, n)
-        h += jz * _two_site(SZ, SZ, i, k, n)
-    return h
+    return jx * kron(SX, SX) + jy * kron(SY, SY) + jz * kron(SZ, SZ)
 
 
 def build_ising(spec: SpinModelSpec) -> np.ndarray:
-    """J sum over pairs of XiXj + (b/2) sum over sites of Zi, J = j_sign * jx."""
+    """J X1X2 + (b/2)(Z1 + Z2), J = j_sign * jx."""
     if spec.kind != "ISING":
         raise ValueError(f"build_ising needs kind ISING, got {spec.kind}")
-    n = spec.n_spins
     j = spec.j_sign * spec.jx
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for i, k in spec.pairs:
-        h += j * _two_site(SX, SX, i, k, n)
-    for i in range(n):
-        h += (spec.b / 2.0) * _one_site(SZ, i, n)
-    return h
+    return (j * kron(SX, SX) + (spec.b / 2.0) * kron(SZ, ID2)
+            + (spec.b / 2.0) * kron(ID2, SZ))
 
 
 _BUILDERS = {"XY": build_xy, "XYZ": build_heisenberg, "ISING": build_ising}
@@ -130,6 +88,23 @@ _BUILDERS = {"XY": build_xy, "XYZ": build_heisenberg, "ISING": build_ising}
 
 def build_hamiltonian(spec: SpinModelSpec) -> np.ndarray:
     return _BUILDERS[spec.kind](spec)
+
+
+def oracle_hamiltonian(protocol: str, b_over_j: float, j_sign: int) -> np.ndarray:
+    """The two-spin Hamiltonian whose evolution a protocol's circuit simulates.
+
+    xy: the exchange coupling alone; heisenberg: the isotropic coupling;
+    ising: the XX coupling in the field B = j_sign * b_over_j, in units of |J|.
+    """
+    if protocol == "xy":
+        spec = SpinModelSpec.xy(j_sign=j_sign)
+    elif protocol == "heisenberg":
+        spec = SpinModelSpec.heisenberg(1.0, 1.0, 1.0, j_sign=j_sign)
+    elif protocol == "ising":
+        spec = SpinModelSpec.ising(jx=1.0, b=j_sign * b_over_j, j_sign=j_sign)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return build_hamiltonian(spec)
 
 
 def exact_evolve(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:

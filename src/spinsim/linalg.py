@@ -1,7 +1,7 @@
-"""Dense complex linear algebra for few-qubit Hilbert spaces.
+"""Dense complex linear algebra for the two-qubit Hilbert space.
 
 Everything operates on plain numpy arrays: state vectors are 1-d complex
-arrays of length 2**n, operators and density matrices are square complex
+arrays of length 4, operators and density matrices are square complex
 arrays.  Qubit 1 is the most significant tensor factor, |up> = |0> = (1, 0)
 and sigma_z |up> = +|up>.
 """
@@ -27,20 +27,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def op_on_qubit(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Embed a single-qubit operator at position ``qubit`` (0 = most significant)."""
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
-    factors = [ID2] * n_qubits
-    factors[qubit] = np.asarray(op, dtype=complex)
-    return kron_all(*factors)
+def op_on_qubit(op: np.ndarray, qubit: int) -> np.ndarray:
+    """Embed a single-qubit operator on qubit 0 (most significant) or 1."""
+    if qubit not in (0, 1):
+        raise ValueError(f"qubit index {qubit} out of range for 2 qubits")
+    return kron(op, ID2) if qubit == 0 else kron(ID2, op)
 
 
 def max_asymmetry(m: np.ndarray) -> float:

@@ -116,7 +116,7 @@ class NoiseParams:
         if len(self.t1_us) != 2 or len(self.t2_us) != 2:
             raise ValueError("t1_us and t2_us must have one entry per qubit")
         for t1, t2 in zip(self.t1_us, self.t2_us):
-            if t1 <= 0 or t2 <= 0:
+            if not (t1 > 0 and t2 > 0):  # NaN fails both comparisons
                 raise ValueError("T1 and T2 must be positive")
             if t2 > 2.0 * t1 + 1e-12:
                 raise ValueError(f"unphysical T2 = {t2} > 2*T1 = {2 * t1}")
@@ -237,17 +237,17 @@ def _superop(kraus) -> np.ndarray:
 def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
                   params: NoiseParams) -> np.ndarray:
     """Liouville matrix of one gate followed by its errors (read-only)."""
-    u = gate_unitary(gate, 2, j_sign)
+    u = gate_unitary(gate, j_sign)
     if gate.kind == "XY":
         u = zz_error_unitary(params.jz_tilde_angle_deg) @ u
     if gate.kind == "ROT" and gate.axis == "z" and gate.qubit == 1:
         a = math.radians(params.crosstalk_phase_deg * z_frac)
-        u = (gate_unitary(Gate.rot("z", a, 1), 2)
+        u = (gate_unitary(Gate.rot("z", a, 1))
              @ zz_error_unitary(params.jz_tilde_angle_deg * z_frac) @ u)
     s = _superop([u])
     if gate.kind == "ROT" and gate.axis in ("x", "y"):
         p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
-        s = _superop([op_on_qubit(k, gate.qubit, 2)
+        s = _superop([op_on_qubit(k, gate.qubit)
                       for k in depolarizing_kraus(p_depol)]) @ s
     ka = decoherence_kraus(duration_ns, params.t1_us[0], params.t2_us[0])
     kb = decoherence_kraus(duration_ns, params.t1_us[1], params.t2_us[1])
@@ -264,8 +264,6 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray,
     ``durations_ns`` optionally overrides the per-gate durations (one entry
     per gate), e.g. with footprints extracted from a scheduled timeline.
     """
-    if circuit.n_qubits != 2:
-        raise ValueError("the noise engine handles two-qubit circuits")
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
     j_sign = int(circuit.metadata.get("j_sign", -1))
     if durations_ns is not None and len(durations_ns) != len(circuit.gates):

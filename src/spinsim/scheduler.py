@@ -66,15 +66,11 @@ def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:
 def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
     """Greedy earliest-start assignment in gate order.
 
-    Raises ValueError for a circuit that is not on two qubits, or whose pulse
-    times overflow the float range.
+    Raises ValueError for a circuit whose pulse times overflow the float range.
     """
-    n = circuit.n_qubits
-    if n != 2:
-        raise ValueError("the scheduler handles two-qubit circuits")
     period = timing.phase_period_ns
     wait = timing.post_flux_wait_ns
-    ready = [0.0] * n
+    ready = [0.0, 0.0]
     ends: list[tuple[float, int]] = []  # (flux unit end, placement order), sorted
     opens: list[float] = []  # end - tol of each entry of ends
     closes: list[float] = []  # end + wait - tol of each entry of ends

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
-                             compile_ising)
+from spinsim.circuits import (EvolutionParams, compile_heisenberg, compile_ising,
+                              compile_xy)
 
 
 # Property tests draw the same examples on every run, so a test run is
@@ -61,5 +61,4 @@ def compiled_circuit(protocol, theta, n, b_over_j, j_sign):
         return compile_ising(EvolutionParams(theta, n, b_over_j), j_sign=j_sign)
     if protocol == "heisenberg":
         return compile_heisenberg(EvolutionParams(theta), j_sign=j_sign)
-    return Circuit(2, (Gate.xy(theta),),
-                   {"protocol": "xy", "theta": theta, "j_sign": j_sign})
+    return compile_xy(EvolutionParams(theta), j_sign=j_sign)

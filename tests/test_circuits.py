@@ -3,10 +3,10 @@ import pytest
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                               circuit_to_text, circuit_unitary,
-                              compile_heisenberg, compile_ising, gate_unitary,
-                              phase_distance, trotter_fidelity)
+                              compile_heisenberg, compile_ising, compile_xy,
+                              gate_unitary, phase_distance, trotter_fidelity)
 from spinsim.hamiltonians import (SpinModelSpec, build_heisenberg, build_ising,
-                                  build_xy, exact_evolve)
+                                  build_xy, exact_evolve, oracle_hamiltonian)
 from spinsim.linalg import SX, SZ, herm_expm, is_unitary, kron, op_on_qubit
 
 from conftest import FIG2, FIG3, ISWAP, SQRT_ISWAP, SWAP
@@ -37,7 +37,7 @@ class TestGateUnitary:
             for qubit in (0, 1):
                 angle = rng.uniform(-2 * np.pi, 2 * np.pi)
                 g = gate_unitary(Gate.rot(axis, angle, qubit))
-                h = op_on_qubit(PAULIS_1Q[axis], qubit, 2)
+                h = op_on_qubit(PAULIS_1Q[axis], qubit)
                 assert np.max(np.abs(g - herm_expm(h, angle / 2))) < 1e-12
 
     def test_sign_flip_is_z_conjugation(self):
@@ -46,7 +46,7 @@ class TestGateUnitary:
             plus = gate_unitary(Gate.xy(theta), j_sign=1)
             minus = gate_unitary(Gate.xy(theta), j_sign=-1)
             for q in (0, 1):
-                z = op_on_qubit(SZ, q, 2)
+                z = op_on_qubit(SZ, q)
                 assert np.max(np.abs(z @ plus @ z - minus)) < 1e-12
 
     def test_wait_is_identity(self):
@@ -59,6 +59,17 @@ class TestGateUnitary:
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             Gate.xy(-0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Circuit(1, ()),
+    lambda: Circuit(3, (Gate.xy(1.0),)),
+    lambda: circuit_from_text("# n_qubits=3\nXY theta=1.0\n"),
+    lambda: Circuit(2, (Gate.rot("x", 1.0, 2),)),
+], ids=["one-qubit", "three-qubit", "three-qubit-text", "qubit-out-of-range"])
+def test_circuit_is_two_qubit(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestCircuitUnitary:
@@ -80,6 +91,14 @@ class TestCircuitUnitary:
         for c in (compile_heisenberg(EvolutionParams(1.1)),
                   compile_ising(EvolutionParams(2.3, 3, 3.0))):
             assert is_unitary(circuit_unitary(c))
+
+
+def test_compile_xy_matches_exchange_oracle():
+    for j_sign in (-1, 1):
+        for theta in (0.0, 0.7, np.pi, 5.9):
+            u = circuit_unitary(compile_xy(EvolutionParams(theta), j_sign=j_sign))
+            h = oracle_hamiltonian("xy", 0.0, j_sign)
+            assert np.max(np.abs(u - herm_expm(h, theta / 2.0))) < 1e-12
 
 
 class TestCompileHeisenberg:
@@ -187,7 +206,7 @@ class TestTrotterFidelity:
     def test_coupling_sign_flip_with_conjugate_state(self):
         # flipping the coupling sign and conjugating the initial state leaves
         # the z observables of the protocol invariant
-        ztot = [op_on_qubit(SZ, q, 2) for q in (0, 1)]
+        ztot = [op_on_qubit(SZ, q) for q in (0, 1)]
         for theta in (0.9, 2.2):
             c_minus = compile_ising(EvolutionParams(theta, 3, 3.0), j_sign=-1)
             c_plus = compile_ising(EvolutionParams(theta, 3, 3.0), j_sign=1)

@@ -288,6 +288,19 @@ BAD_CIRCUITS = {
     pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),
     pytest.param("trotter-scan", {"n_list": [2.7]}, [], id="n_list-fractional"),
     pytest.param("simulate", {"j_sign": -1.5}, [], id="j_sign-fractional"),
+    pytest.param("simulate", {"noise": {"t1_us": [math.nan, 6.7]}}, [], id="t1_us-nan"),
+    pytest.param("simulate", {"noise": {"t2_us": [5.4, math.nan]}}, [], id="t2_us-nan"),
+    pytest.param("simulate", {"theta_grid": "0123"}, [], id="theta_grid-string"),
+    pytest.param("trotter-scan", {"n_list": "12"}, [], id="n_list-string"),
+    pytest.param("simulate", {"noise": {"t1_us": "78"}}, [], id="t1_us-string"),
+    pytest.param("simulate", {"noise": {"t2_us": "45"}}, [], id="t2_us-string"),
+    pytest.param("trotter-scan", {"n_list": []}, [], id="n_list-empty"),
+    pytest.param("simulate", {"b_over_j": 1e308}, ["--protocol", "ising", "--thetas", "8"],
+                 id="simulate-z-angle-overflow"),
+    pytest.param("schedule", {"b_over_j": 1e308}, ["--protocol", "ising", "--thetas", "8"],
+                 id="schedule-z-angle-overflow"),
+    pytest.param("trotter-scan", {"b_over_j": 1e308}, ["--thetas", "8"],
+                 id="trotter-scan-z-angle-overflow"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
     monkeypatch.chdir(tmp_path)
@@ -302,3 +315,33 @@ def test_integral_config_values_accepted():
     cfg = load_config(None, {"n_steps": 3.0, "n_list": [1, 2.0, "3"], "j_sign": "1"})
     assert (cfg.n_steps, cfg.n_list, cfg.j_sign) == (3, (1, 2, 3), 1)
     assert all(type(v) is int for v in (cfg.n_steps, *cfg.n_list, cfg.j_sign))
+
+
+def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):
+    """Every name the benchmark's tracer wraps is a global the CLI calls.
+
+    The tracer in perfbench/tracing.py replaces these module attributes for a
+    traced pass; a renamed or bypassed one would silently drop its spans.
+    """
+    import runpy
+
+    import spinsim.cli
+    import spinsim.hamiltonians
+    import spinsim.noise
+
+    tracing = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracing.py"))
+    modules = {"cli": spinsim.cli, "hamiltonians": spinsim.hamiltonians,
+               "noise": spinsim.noise}
+    for module, attr in tracing["CLI_SPANS"]:
+        assert callable(getattr(modules[module], attr)), (module, attr)
+
+    calls = []
+    for name in ("compile_ising", "compile_heisenberg"):
+        def counted(*args, _name=name, _fn=getattr(spinsim.cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spinsim.cli, name, counted)
+    for protocol in ("ising", "heisenberg"):
+        assert main(["simulate", "--protocol", protocol, "--thetas", "1.0",
+                     "--no-noise", "--out", str(tmp_path)]) == 0
+    assert calls == ["compile_ising", "compile_heisenberg"]

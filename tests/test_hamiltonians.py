@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from spinsim.hamiltonians import (SpinModelSpec, build_hamiltonian,
+from spinsim.hamiltonians import (VALID_KINDS, SpinModelSpec, build_hamiltonian,
                                   build_heisenberg, build_ising, build_xy,
-                                  dominant_angular_frequency, exact_evolve)
+                                  dominant_angular_frequency, exact_evolve,
+                                  oracle_hamiltonian)
 from spinsim.linalg import ID2, SX, SY, SZ, expectation, kron
 
 from conftest import FIG2, FIG3
@@ -12,10 +14,6 @@ from conftest import FIG2, FIG3
 def test_spec_validation():
     with pytest.raises(ValueError):
         SpinModelSpec(kind="FOO")
-    with pytest.raises(ValueError):
-        SpinModelSpec(kind="XY", pairs=((0, 0),))
-    with pytest.raises(ValueError):
-        SpinModelSpec(kind="XY", pairs=((0, 3),))
     with pytest.raises(ValueError):
         SpinModelSpec(kind="ISING", jy=1.0)
     with pytest.raises(ValueError):
@@ -66,6 +64,39 @@ class TestBuildIsing:
         h = build_ising(SpinModelSpec.ising(jx=1.0, b=3.0, j_sign=1))
         expected = sorted([-np.sqrt(10), -1.0, 1.0, np.sqrt(10)])
         assert np.allclose(np.linalg.eigvalsh(h), expected, atol=1e-12)
+
+
+COUPLINGS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@given(kind=st.sampled_from(VALID_KINDS), jx=COUPLINGS, jy=COUPLINGS, jz=COUPLINGS,
+       b=COUPLINGS, j_sign=st.sampled_from((-1, 1)))
+def test_builders_are_two_spin_pauli_sums(kind, jx, jy, jz, b, j_sign):
+    if kind == "ISING":
+        jy = jz = 0.0
+    spec = SpinModelSpec(kind=kind, jx=jx, jy=jy, jz=jz, b=b, j_sign=j_sign)
+    i2 = np.eye(2, dtype=complex)
+    xx, yy, zz = (np.kron(p, p) for p in (SX, SY, SZ))
+    if kind == "XY":
+        ref = (j_sign * jx / 2.0) * (xx + yy)
+    elif kind == "XYZ":
+        ref = (j_sign * jx) * xx + (j_sign * jy) * yy + (j_sign * jz) * zz
+    else:
+        ref = (j_sign * jx) * xx + (b / 2.0) * np.kron(SZ, i2) + (b / 2.0) * np.kron(i2, SZ)
+    assert np.array_equal(build_hamiltonian(spec), ref)
+
+
+def test_oracle_hamiltonian_per_protocol():
+    for j_sign in (-1, 1):
+        assert np.array_equal(oracle_hamiltonian("xy", 2.0, j_sign),
+                              build_xy(SpinModelSpec.xy(j_sign=j_sign)))
+        assert np.array_equal(oracle_hamiltonian("heisenberg", 2.0, j_sign),
+                              build_heisenberg(SpinModelSpec.heisenberg(1, 1, 1, j_sign)))
+        # the Ising field is B = j_sign * b_over_j
+        assert np.array_equal(oracle_hamiltonian("ising", 2.0, j_sign),
+                              build_ising(SpinModelSpec.ising(1.0, 2.0 * j_sign, j_sign)))
+    with pytest.raises(ValueError):
+        oracle_hamiltonian("swap", 0.0, -1)
 
 
 def test_builders_exactly_hermitian():

@@ -261,7 +261,7 @@ def kraus_reference(circuit, params, rho0, durations_ns=None):
     p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
     rho = np.asarray(rho0, dtype=complex)
     for idx, g in enumerate(circuit.gates):
-        rho = apply(rho, [gate_unitary(g, 2, j_sign)])
+        rho = apply(rho, [gate_unitary(g, j_sign)])
         if g.kind == "XY":
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg)])
         if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
@@ -271,9 +271,9 @@ def kraus_reference(circuit, params, rho0, durations_ns=None):
             frac = abs(g.angle) / full if full > 0.0 else 1.0
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg * frac)])
             a = math.radians(params.crosstalk_phase_deg * frac)
-            rho = apply(rho, [gate_unitary(Gate.rot("z", a, 1), 2)])
+            rho = apply(rho, [gate_unitary(Gate.rot("z", a, 1))])
         if g.kind == "ROT" and g.axis in ("x", "y"):
-            rho = apply(rho, [op_on_qubit(k, g.qubit, 2)
+            rho = apply(rho, [op_on_qubit(k, g.qubit)
                               for k in depolarizing_kraus(p_depol)])
         dur = (durations_ns[idx] if durations_ns is not None
                else gate_duration_ns(g, params, meta))
