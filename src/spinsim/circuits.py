@@ -16,6 +16,14 @@ Conventions, pinned by the tests:
 * Identities that hold only up to a global phase are compared with
   ``phase_distance``.
 
+Propagation cost: ``gate_unitary`` is cached and returns read-only arrays.
+``compile_ising`` builds one Trotter step and repeats it n times, and
+``repeated_step`` recovers that step from any circuit whose gates are exactly
+``n_steps`` copies of one step.  ``circuit_unitary`` then multiplies one
+step's gate unitaries and raises the product to the power n, so a circuit
+costs one step plus O(log n) 4x4 products; any other circuit is the
+per-gate product.
+
 The Heisenberg compilation conjugates the exchange gate into the XZ and YZ
 bases with x/y rotations by +-pi/2; the basis-change signs are fixed here so
 that each block equals the corresponding two-axis exponential exactly.  The
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,28 +125,51 @@ def _rot_matrix(axis: str, angle: float) -> np.ndarray:
     return math.cos(angle / 2.0) * ID2 - 1j * math.sin(angle / 2.0) * s
 
 
+@lru_cache(maxsize=256)
 def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
-    """Unitary of a single gate on the two-qubit register."""
+    """Unitary of a single gate on the two-qubit register (cached, read-only)."""
+    if j_sign not in (-1, 1):
+        raise ValueError(f"j_sign must be +1 or -1, got {j_sign!r}")
     if g.kind == "XY":
         c, s = math.cos(g.theta / 2.0), math.sin(g.theta / 2.0)
         u = np.eye(4, dtype=complex)
         u[1, 1] = u[2, 2] = c
         u[1, 2] = u[2, 1] = -1j * j_sign * s
-        return u
-    if g.kind == "ROT":
-        return op_on_qubit(_rot_matrix(g.axis, g.angle), g.qubit)
-    if g.kind == "WAIT":
-        return np.eye(4, dtype=complex)
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    elif g.kind == "ROT":
+        u = op_on_qubit(_rot_matrix(g.axis, g.angle), g.qubit)
+    elif g.kind == "WAIT":
+        u = np.eye(4, dtype=complex)
+    else:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    u.flags.writeable = False
+    return u
+
+
+def repeated_step(c: Circuit) -> tuple[tuple[Gate, ...], int]:
+    """The circuit as (step, n) with ``step * n == c.gates``.
+
+    Metadata ``n_steps`` is only a candidate for n: a circuit whose gates are
+    not that many copies of one step comes back whole, with n = 1.
+    """
+    n = c.metadata.get("n_steps", 1)
+    if isinstance(n, int) and 1 < n <= len(c.gates) and len(c.gates) % n == 0:
+        step = c.gates[:len(c.gates) // n]
+        if step * n == c.gates:
+            return step, n
+    return c.gates, 1
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Ordered product of the gate unitaries: first gate applied first."""
+    """Ordered product of the gate unitaries: first gate applied first.
+
+    One step's product is raised to the step count of ``repeated_step``.
+    """
     j_sign = int(c.metadata.get("j_sign", -1))
+    step, n = repeated_step(c)
     u = np.eye(4, dtype=complex)
-    for g in c.gates:
+    for g in step:
         u = gate_unitary(g, j_sign) @ u
-    return u
+    return np.linalg.matrix_power(u, n)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -202,24 +234,20 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     # Per-step z rotation angle is B*tau/n with B = j_sign*b_over_j in units
     # of |J| and tau = theta/2; each flanking gate carries half of it.
     phi_half = j_sign * params.b_over_j * th / (4.0 * n)
-    gates: list[Gate] = []
-    for _ in range(n):
-        if phi_half != 0.0:
-            gates += [Gate.rot("z", phi_half, 0), Gate.rot("z", phi_half, 1)]
-        gates += [
+    field_half = ((Gate.rot("z", phi_half, 0), Gate.rot("z", phi_half, 1))
+                  if phi_half != 0.0 else ())
+    step = (*field_half,
             Gate.xy(step_theta),
             Gate.rot("x", math.pi, 0),
             Gate.rot("x", math.pi, 1),
             Gate.rot("x", math.pi, 1),
             Gate.xy(step_theta),
             Gate.rot("x", math.pi, 0),
-        ]
-        if phi_half != 0.0:
-            gates += [Gate.rot("z", phi_half, 0), Gate.rot("z", phi_half, 1)]
+            *field_half)
     meta = {"protocol": "ising", "theta": th, "n_steps": n,
             "b_over_j": params.b_over_j, "j_sign": j_sign,
-            "gates_per_step": len(gates) // n}
-    return Circuit(n_qubits=2, gates=tuple(gates), metadata=meta)
+            "gates_per_step": len(step)}
+    return Circuit(n_qubits=2, gates=step * n, metadata=meta)
 
 
 def trotter_fidelity(params: EvolutionParams, psi0: np.ndarray,
@@ -298,4 +326,8 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(Gate.wait(float(kv["ns"])))
         else:
             raise ValueError(f"unknown gate line: {line!r}")
+    if metadata.get("j_sign", -1) not in (-1, 1):
+        raise ValueError(f"j_sign must be +1 or -1, got {metadata['j_sign']}")
+    if metadata.get("n_steps", 1) < 1:
+        raise ValueError(f"n_steps must be >= 1, got {metadata['n_steps']}")
     return Circuit(n_qubits=n_qubits, gates=tuple(gates), metadata=metadata)

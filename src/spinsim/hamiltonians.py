@@ -108,9 +108,11 @@ def oracle_hamiltonian(protocol: str, b_over_j: float, j_sign: int) -> np.ndarra
 
 
 def exact_evolve(h: np.ndarray, t: float, psi0: np.ndarray) -> np.ndarray:
-    """exp(-i h t) |psi0>; norm is preserved to 1e-10."""
+    """exp(-i h t) |psi0>; norm is preserved to 1e-10 and the state is finite."""
     psi0 = np.asarray(psi0, dtype=complex)
     psi = herm_expm(h, t) @ psi0
+    if not np.isfinite(psi).all():
+        raise ValueError("evolution gave a non-finite state")
     drift = abs(np.linalg.norm(psi) - np.linalg.norm(psi0))
     if drift > 1e-10:
         raise ValueError(f"evolution broke the state norm by {drift:.3e}")

@@ -27,8 +27,13 @@ operators K_k are those of the gate unitary composed with the exchange
 gate's residual ZZ, or the Q2 z-phase gate's fractional ZZ and crosstalk
 rotation, then the depolarizing kick, then T1/T2 decoherence for the gate's
 duration.  Superoperators are built once per distinct (gate, coupling sign,
-z fraction, duration, parameters) and kept in a bounded cache, so
-propagating a state costs one 16x16 matrix-vector product per gate.
+z fraction, duration, parameters) and kept in a bounded cache.  A circuit
+that repeats one Trotter step n times (``circuits.repeated_step``) is
+propagated as S_step^n vec(rho0): one step's superoperators are multiplied
+into S_step, which is raised to the power n by repeated squaring, so the
+cost is one step plus O(log n) 16x16 products.  A single-step circuit, or
+one with per-gate ``durations_ns``, costs one 16x16 matrix-vector product
+per gate.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_unitary
+from .circuits import Circuit, Gate, gate_unitary, repeated_step
 from .linalg import ID2, SX, SY, SZ, check_density_matrix, op_on_qubit
 
 J_COUPLING_MHZ = 40.4
@@ -265,16 +270,29 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray,
     per gate), e.g. with footprints extracted from a scheduled timeline.
     """
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
-    j_sign = int(circuit.metadata.get("j_sign", -1))
-    if durations_ns is not None and len(durations_ns) != len(circuit.gates):
+    meta = circuit.metadata
+    j_sign = int(meta.get("j_sign", -1))
+    if durations_ns is None:
+        step, n = repeated_step(circuit)
+        durations = [gate_duration_ns(g, params, meta) for g in step]
+    elif len(durations_ns) != len(circuit.gates):
         raise ValueError("durations_ns must have one entry per gate")
+    else:
+        step, n, durations = circuit.gates, 1, durations_ns
 
-    for idx, g in enumerate(circuit.gates):
-        dur = (durations_ns[idx] if durations_ns is not None
-               else gate_duration_ns(g, params, circuit.metadata))
-        z_frac = (_step_z_fraction(g, circuit.metadata)
+    def superop(g: Gate, dur: float) -> np.ndarray:
+        z_frac = (_step_z_fraction(g, meta)
                   if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
-        vec = _gate_superop(g, j_sign, z_frac, float(dur), params) @ vec
+        return _gate_superop(g, j_sign, z_frac, float(dur), params)
+
+    if n == 1:
+        for g, dur in zip(step, durations):
+            vec = superop(g, dur) @ vec
+    else:
+        s_step = np.eye(16, dtype=complex)
+        for g, dur in zip(step, durations):
+            s_step = superop(g, dur) @ s_step
+        vec = np.linalg.matrix_power(s_step, n) @ vec
     rho = vec.reshape(4, 4)
     return (rho + rho.conj().T) / 2.0
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from spinsim.circuits import (EvolutionParams, compile_heisenberg, compile_ising,
-                              compile_xy)
+from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
+                              compile_ising, compile_xy)
 
 
 # Property tests draw the same examples on every run, so a test run is
@@ -62,3 +62,33 @@ def compiled_circuit(protocol, theta, n, b_over_j, j_sign):
     if protocol == "heisenberg":
         return compile_heisenberg(EvolutionParams(theta), j_sign=j_sign)
     return compile_xy(EvolutionParams(theta), j_sign=j_sign)
+
+
+any_gate = st.one_of(
+    st.builds(Gate.xy, st.floats(0.0, 4 * np.pi)),
+    st.builds(Gate.rot, st.sampled_from("xyz"), st.floats(-2 * np.pi, 2 * np.pi),
+              st.sampled_from((0, 1))),
+    st.builds(Gate.wait, st.floats(0.0, 200.0)))
+
+
+@st.composite
+def misleading_circuits(draw):
+    """Hand-built circuits whose ``n_steps`` metadata is not their step count.
+
+    Three shapes: a gate count that n_steps does not divide, n_steps copies
+    of a step with one gate changed, and no gates at all with n_steps = 3.
+    """
+    shape = draw(st.sampled_from(("non-divisor", "non-repeating", "empty")))
+    j_sign = draw(st.sampled_from((-1, 1)))
+    if shape == "empty":
+        n, body = 3, ()
+    elif shape == "non-divisor":
+        n = draw(st.integers(2, 6))
+        size = draw(st.integers(1, 40).filter(lambda k: k % n))
+        body = tuple(draw(st.lists(any_gate, min_size=size, max_size=size)))
+    else:
+        n = draw(st.integers(2, 6))
+        step = tuple(draw(st.lists(any_gate, min_size=1, max_size=8)))
+        other = Gate.xy(0.25) if step[-1] != Gate.xy(0.25) else Gate.xy(0.5)
+        body = step * (n - 1) + step[:-1] + (other,)
+    return Circuit(2, body, {"n_steps": n, "j_sign": j_sign})

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spinsim.circuits
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                               circuit_to_text, circuit_unitary,
                               compile_heisenberg, compile_ising, compile_xy,
-                              gate_unitary, phase_distance, trotter_fidelity)
+                              gate_unitary, phase_distance, repeated_step,
+                              trotter_fidelity)
 from spinsim.hamiltonians import (SpinModelSpec, build_heisenberg, build_ising,
                                   build_xy, exact_evolve, oracle_hamiltonian)
 from spinsim.linalg import SX, SZ, herm_expm, is_unitary, kron, op_on_qubit
 
-from conftest import FIG2, FIG3, ISWAP, SQRT_ISWAP, SWAP
+from conftest import (FIG2, FIG3, ISWAP, SQRT_ISWAP, SWAP, compiled_circuit,
+                      misleading_circuits)
 
 
 class TestGateUnitary:
@@ -91,6 +95,79 @@ class TestCircuitUnitary:
         for c in (compile_heisenberg(EvolutionParams(1.1)),
                   compile_ising(EvolutionParams(2.3, 3, 3.0))):
             assert is_unitary(circuit_unitary(c))
+
+
+def per_gate_unitary(c):
+    """Reference: every gate's unitary multiplied in, first gate first."""
+    j_sign = int(c.metadata.get("j_sign", -1))
+    u = np.eye(4, dtype=complex)
+    for g in c.gates:
+        u = gate_unitary(g, j_sign) @ u
+    return u
+
+
+@settings(deadline=None)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi),
+       n=st.integers(min_value=1, max_value=60),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)))
+def test_step_power_matches_per_gate_product(protocol, theta, n, b_over_j, j_sign):
+    c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
+    step, k = repeated_step(c)
+    assert step * k == c.gates
+    assert k == (n if protocol == "ising" else 1)
+    assert np.max(np.abs(circuit_unitary(c) - per_gate_unitary(c))) <= 1e-12
+
+
+@settings(deadline=None)
+@given(c=misleading_circuits())
+def test_misleading_n_steps_is_the_per_gate_product(c):
+    assert repeated_step(c) == (c.gates, 1)
+    assert circuit_unitary(c).tobytes() == per_gate_unitary(c).tobytes()
+
+
+def test_ising_step_power_looks_up_one_step(monkeypatch):
+    c = compile_ising(EvolutionParams(2.5, 1000, 3.0))
+    assert len(c.gates) == 10000 and c.metadata["gates_per_step"] == 10
+    lookups = []
+    cached = spinsim.circuits.gate_unitary
+
+    def counted(*args, **kwargs):
+        lookups.append(args[0])
+        return cached(*args, **kwargs)
+
+    monkeypatch.setattr(spinsim.circuits, "gate_unitary", counted)
+    u = circuit_unitary(c)
+    assert len(lookups) <= 10
+    assert np.max(np.abs(u - per_gate_unitary(c))) <= 1e-12
+
+
+def test_gate_unitary_is_read_only():
+    u = gate_unitary(Gate.rot("x", 0.3, 1))
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    assert gate_unitary(Gate.rot("x", 0.3, 1)) is u
+
+
+def test_gate_unitary_rejects_bad_coupling_sign():
+    with pytest.raises(ValueError, match="j_sign"):
+        gate_unitary(Gate.xy(1.0), j_sign=5)
+
+
+@pytest.mark.parametrize("c", [
+    Circuit(2, ()),
+    compile_xy(EvolutionParams(1.0)),
+    compile_ising(EvolutionParams(2.0, 4, 3.0)),
+    Circuit(2, (Gate.xy(1.0),) * 3, {"n_steps": 2}),
+], ids=["empty", "xy", "ising-n4", "misleading"])
+def test_circuit_unitary_returns_fresh_writeable_array(c):
+    u, v = circuit_unitary(c), circuit_unitary(c)
+    assert u.flags.writeable and not np.shares_memory(u, v)
+    expected = v.copy()
+    u[...] = 0.0
+    assert np.array_equal(circuit_unitary(c), expected)
 
 
 def test_compile_xy_matches_exchange_oracle():

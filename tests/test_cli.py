@@ -239,6 +239,9 @@ BAD_CIRCUITS = {
     "b-over-j-nan.txt": FIELD_CIRCUIT.format("nan"),
     "b-over-j-inf.txt": FIELD_CIRCUIT.format("inf"),
     "b-over-j-tiny.txt": FIELD_CIRCUIT.format("1e-310"),
+    "j-sign-5.txt": "# n_qubits=2 j_sign=5\nXY theta=1.0\n",
+    "n-steps-0.txt": "# n_qubits=2 n_steps=0\nXY theta=1.0\n",
+    "n-steps-negative.txt": "# n_qubits=2 n_steps=-3\nXY theta=1.0\n",
 }
 
 
@@ -283,6 +286,12 @@ BAD_CIRCUITS = {
                  id="circuit-in-rz-pulse-overflow"),
     pytest.param("schedule", {}, ["--protocol", "xy", "--thetas", "1e308"],
                  id="xy-pulse-overflow"),
+    pytest.param("schedule", {}, ["--circuit-in", "j-sign-5.txt"],
+                 id="circuit-in-j-sign-5"),
+    pytest.param("schedule", {}, ["--circuit-in", "n-steps-0.txt"],
+                 id="circuit-in-n-steps-0"),
+    pytest.param("schedule", {}, ["--circuit-in", "n-steps-negative.txt"],
+                 id="circuit-in-n-steps-negative"),
     pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],
                  id="n_steps-fractional"),
     pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),

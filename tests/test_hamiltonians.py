@@ -112,6 +112,12 @@ class TestExactEvolve:
         h = build_xy(SpinModelSpec.xy())
         assert np.allclose(exact_evolve(h, 0.0, FIG2), FIG2, atol=1e-14)
 
+    def test_rejects_non_finite_state(self):
+        # the field overflows the propagator; the NaN state must not pass
+        h = oracle_hamiltonian("ising", 1e308, -1)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            exact_evolve(h, 4.0, [1, 0, 0, 0])
+
     def test_exchange_full_transfer_bloch_vectors(self):
         # at phase angle pi the spins end along +y and +z
         h = build_xy(SpinModelSpec.xy(j_sign=-1))

@@ -12,7 +12,9 @@ from spinsim.noise import (NoiseParams, THETA_TO_NS, TimingParams,
                            predicted_fidelity, simulate_noisy, zz_error_unitary)
 from spinsim.tomography import state_fidelity
 
-from conftest import FIG3, compiled_circuit, random_density
+import spinsim.noise
+
+from conftest import FIG3, compiled_circuit, misleading_circuits, random_density
 
 
 def kraus_completeness_defect(kraus):
@@ -333,3 +335,46 @@ def test_list_times_are_hashable_and_match_tuples():
     rho = simulate_noisy(c, listed, rho0)
     assert np.max(np.abs(rho - kraus_reference(c, listed, rho0))) <= 1e-12
     assert_cptp_output(rho)
+
+
+@settings(deadline=None)
+@given(c=misleading_circuits(),
+       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_misleading_n_steps_propagates_gate_by_gate(c, params, seed):
+    rho0 = random_density(np.random.default_rng(seed))
+    rho = simulate_noisy(c, params, rho0)
+    assert np.max(np.abs(rho - kraus_reference(c, params, rho0))) <= 1e-12
+    assert_cptp_output(rho)
+    # the per-gate durations override always takes the gate-by-gate loop
+    durations = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
+    assert rho.tobytes() == simulate_noisy(c, params, rho0, durations).tobytes()
+
+
+def test_ising_step_power_looks_up_one_step(monkeypatch):
+    c = compile_ising(EvolutionParams(2.5, 1000, 3.0))
+    assert len(c.gates) == 10000 and c.metadata["gates_per_step"] == 10
+    lookups = []
+    cached = spinsim.noise._gate_superop
+
+    def counted(*args, **kwargs):
+        lookups.append(args[0])
+        return cached(*args, **kwargs)
+
+    monkeypatch.setattr(spinsim.noise, "_gate_superop", counted)
+    rho0 = np.outer(FIG3, FIG3.conj())
+    rho = simulate_noisy(c, NoiseParams(), rho0)
+    assert len(lookups) <= 10
+    assert_cptp_output(rho)
+
+
+def test_simulate_noisy_returns_fresh_writeable_array():
+    rho0 = np.outer(FIG3, FIG3.conj())
+    for c in (compile_ising(EvolutionParams(2.0, 1, 3.0)),
+              compile_ising(EvolutionParams(2.0, 4, 3.0))):
+        rho, again = (simulate_noisy(c, NoiseParams(), rho0) for _ in range(2))
+        assert rho.flags.writeable and not np.shares_memory(rho, again)
+        assert not np.shares_memory(rho, rho0)
+        expected = again.copy()
+        rho[...] = 0.0
+        assert np.array_equal(simulate_noisy(c, NoiseParams(), rho0), expected)
