@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinsim.noise
 from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_unitary, \
     compile_ising, gate_unitary
 from spinsim.linalg import kron, op_on_qubit
@@ -11,8 +12,6 @@ from spinsim.noise import (NoiseParams, THETA_TO_NS, TimingParams,
                            decoherence_kraus, depolarizing_kraus, gate_duration_ns,
                            predicted_fidelity, simulate_noisy, zz_error_unitary)
 from spinsim.tomography import state_fidelity
-
-import spinsim.noise
 
 from conftest import FIG3, compiled_circuit, misleading_circuits, random_density
 
