@@ -12,8 +12,7 @@ from .noise import (NoiseParams, THETA_TO_NS, TimingParams, decoherence_kraus,
                     gate_duration_ns, predicted_fidelity, simulate_noisy,
                     zz_error_unitary)
 from .scheduler import (PulseEvent, PulseTimeline, commensurate_padding,
-                        gate_footprint_durations, schedule, timeline_to_csv,
-                        validate)
+                        schedule, timeline_to_csv, validate)
 from .tomography import (FidelityReport, TomographyRecord, chi_from_json,
                          chi_of_unitary, chi_to_json, linear_inversion,
                          negativity, process_fidelity, process_tomography,
@@ -29,8 +28,8 @@ __all__ = [
     "circuit_to_text", "circuit_unitary", "commensurate_padding",
     "compile_heisenberg", "compile_ising", "compile_xy",
     "decoherence_kraus", "dominant_angular_frequency", "exact_evolve",
-    "expectation", "gate_duration_ns", "gate_footprint_durations",
-    "gate_unitary", "herm_expm", "kron", "linear_inversion", "negativity",
+    "expectation", "gate_duration_ns", "gate_unitary", "herm_expm", "kron",
+    "linear_inversion", "negativity",
     "oracle_hamiltonian", "partial_transpose", "phase_distance",
     "predicted_fidelity", "process_fidelity", "process_tomography",
     "reconstruct_state", "schedule", "simulate_noisy", "state_fidelity",

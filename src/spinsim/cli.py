@@ -401,11 +401,11 @@ def _overrides(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             ov[key] = val
-    # comma-separated lists are converted, and rejected, by load_config
-    if getattr(args, "thetas", None):
-        ov["theta_grid"] = args.thetas.split(",")
-    if getattr(args, "n_list", None):
-        ov["n_list"] = args.n_list.split(",")
+    # comma-separated lists are converted, and rejected (an empty one too),
+    # by load_config
+    for key, flag in (("theta_grid", "thetas"), ("n_list", "n_list")):
+        if getattr(args, flag, None) is not None:
+            ov[key] = getattr(args, flag).split(",")
     if args.no_noise:
         ov["noise"] = "off"
     return ov

@@ -39,10 +39,6 @@ def max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return max_asymmetry(m) <= tol
-
-
 def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     u = np.asarray(u)
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= tol

@@ -121,8 +121,10 @@ class NoiseParams:
         if len(self.t1_us) != 2 or len(self.t2_us) != 2:
             raise ValueError("t1_us and t2_us must have one entry per qubit")
         for t1, t2 in zip(self.t1_us, self.t2_us):
-            if not (t1 > 0 and t2 > 0):  # NaN fails both comparisons
-                raise ValueError("T1 and T2 must be positive")
+            # NaN fails every comparison; so short a time that 1/T overflows
+            # would turn the decay parameters into NaN
+            if not (t1 > 0 and t2 > 0 and math.isfinite(1 / t1) and math.isfinite(1 / t2)):
+                raise ValueError("T1 and T2 must be positive, with finite rates 1/T")
             if t2 > 2.0 * t1 + 1e-12:
                 raise ValueError(f"unphysical T2 = {t2} > 2*T1 = {2 * t1}")
         # the depolarizing probability 2 * (1 - F) must not exceed 1
@@ -139,26 +141,6 @@ class NoiseParams:
                    single_qubit_fidelity=1.0)
 
 
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    if gamma == 0.0:
-        return [k0]
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
-
-
-def dephasing_kraus(lam: float) -> list[np.ndarray]:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must be in [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
-    if lam == 0.0:
-        return [k0]
-    k1 = np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex)
-    return [k0, k1]
-
-
 def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
                       t2_us: float = math.inf) -> list[np.ndarray]:
     """Single-qubit relaxation-plus-dephasing channel for one gate duration.
@@ -166,9 +148,14 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
     Amplitude damping uses gamma = 1 - exp(-t/T1); the pure-dephasing rate is
     1/T_phi = 1/T2 - 1/(2*T1) and the phase-damping parameter is
     lambda = 1 - exp(-2*t/T_phi), so off-diagonals decay as exp(-t/T2).
+
+    At most three operators, in this order: the no-jump operator
+    diag(1, sqrt(1 - lambda) * sqrt(1 - gamma)); the decay jump
+    [[0, sqrt(gamma)], [0, 0]] when gamma > 0; and the dephasing jump
+    diag(0, sqrt(lambda) * sqrt(1 - gamma)) when that entry is nonzero.
     """
-    if duration_ns < 0:
-        raise ValueError("duration must be non-negative")
+    if not (duration_ns >= 0.0 and t1_us > 0.0 and t2_us > 0.0):  # NaN fails
+        raise ValueError("need duration >= 0 and T1, T2 > 0")
     r1 = 0.0 if math.isinf(t1_us) else 1.0 / t1_us
     r2 = 0.0 if math.isinf(t2_us) else 1.0 / t2_us
     r_phi = r2 - r1 / 2.0
@@ -178,12 +165,17 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
     t = duration_ns * 1e-3
     gamma = 1.0 - math.exp(-t * r1)
     lam = 1.0 - math.exp(-2.0 * t * r_phi)
-    kraus = []
-    for p in dephasing_kraus(lam):
-        for a in amplitude_damping_kraus(gamma):
-            k = p @ a
-            if np.max(np.abs(k)) > 0.0:
-                kraus.append(k)
+    # an overflowing rate or an infinite duration gives NaN here
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
+        raise ValueError(f"gamma = {gamma} and lambda = {lam} must be in [0, 1]")
+    survive = math.sqrt(1.0 - gamma)
+    dephase = math.sqrt(lam) * survive
+    kraus = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam) * survive]],
+                      dtype=complex)]
+    if gamma > 0.0:
+        kraus.append(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex))
+    if dephase > 0.0:
+        kraus.append(np.array([[0.0, 0.0], [0.0, dephase]], dtype=complex))
     return kraus
 
 

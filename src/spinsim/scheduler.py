@@ -269,28 +269,3 @@ def timeline_to_csv(timeline: PulseTimeline) -> str:
         rows.append(
             f"{ev.channel},{_FMT(ev.start_ns)},{_FMT(ev.duration_ns)},{ev.label}")
     return "\n".join(rows) + "\n"
-
-
-def gate_footprint_durations(timeline: PulseTimeline, circuit: Circuit,
-                             timing: TimingParams) -> list[float]:
-    """Per-gate wall-clock footprints extracted from a scheduled timeline.
-
-    A gate's footprint is the sum of its event durations plus the post-flux
-    wait when its events include a flux pulse; WAIT gates keep their stated
-    duration.  Matches the per-gate accounting used by the noise engine.
-    """
-    sums = [0.0] * len(circuit.gates)
-    has_flux = [False] * len(circuit.gates)
-    for ev in timeline.events:
-        if ev.gate_index < 0:
-            continue
-        sums[ev.gate_index] += ev.duration_ns
-        if ev.channel.startswith("flux"):
-            has_flux[ev.gate_index] = True
-    out = []
-    for idx, g in enumerate(circuit.gates):
-        if g.kind == "WAIT":
-            out.append(g.duration_ns)
-        else:
-            out.append(sums[idx] + (timing.post_flux_wait_ns if has_flux[idx] else 0.0))
-    return out

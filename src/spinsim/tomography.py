@@ -157,9 +157,12 @@ def process_tomography(channel) -> np.ndarray:
 
 
 def chi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Rank-1 chi matrix of a unitary channel, by direct basis expansion."""
-    u = np.asarray(u, dtype=complex)
-    c = np.array([np.trace(b.conj().T @ u) for b in CHI_BASIS]) / 4.0
+    """Rank-1 chi matrix of a unitary channel: u = sum_m c_m B_m.
+
+    The basis is orthogonal with Tr(B_m^dag B_n) = 4 delta_mn, so
+    c = V^dag vec(u) / 4 with V the basis as vec columns.
+    """
+    c = _CHI_VEC.conj().T @ np.asarray(u, dtype=complex).reshape(-1) / 4.0
     chi = np.outer(c, c.conj())
     return chi / np.trace(chi).real
 

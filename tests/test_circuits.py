@@ -295,6 +295,49 @@ class TestTrotterFidelity:
                 assert abs(em - ep) < 1e-9
 
 
+def gauged_distance(u, v):
+    """min over phi of the spectral norm of u - e^{i phi} v, for unitaries.
+
+    u - e^{i phi} v = v (v^dag u - e^{i phi}) and v^dag u is unitary with
+    eigenphases a_k, so the best phi bisects the shortest arc holding every
+    a_k; for an arc of width w that leaves 2 sin(w / 4).
+    """
+    a = np.sort(np.angle(np.linalg.eigvals(v.conj().T @ u)))
+    gaps = np.diff(np.append(a, a[0] + 2.0 * np.pi))
+    return 2.0 * np.sin((2.0 * np.pi - gaps.max()) / 4.0)
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+@settings(deadline=None, max_examples=300)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi),
+       n=st.integers(min_value=1, max_value=39),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)))
+def test_circuit_error_within_trotter_bound(protocol, theta, n, b_over_j, j_sign):
+    # The Ising step is the symmetric splitting e^{-iAh/2} e^{-iBh} e^{-iAh/2}
+    # of H = A + B, field A outside, coupling B inside, h = t/n; its error
+    # after n steps is at most n h^3 (||[B,[B,A]]||/12 + ||[A,[A,B]]||/24)
+    # (Childs et al., arXiv:1912.08854).  XY and Heisenberg are exact.
+    c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
+    h = oracle_hamiltonian(protocol, b_over_j, j_sign)
+    t = theta / 2.0
+    exact = np.column_stack([exact_evolve(h, t, e) for e in np.eye(4)])
+    err = gauged_distance(circuit_unitary(c), exact)
+    if protocol != "ising":
+        assert err <= 1e-12
+        return
+    coupling = oracle_hamiltonian("ising", 0.0, j_sign)
+    field = h - coupling
+    bound = n * (t / n) ** 3 * (
+        np.linalg.norm(commutator(coupling, commutator(coupling, field)), 2) / 12.0
+        + np.linalg.norm(commutator(field, commutator(field, coupling)), 2) / 24.0)
+    assert err <= bound + 1e-12
+
+
 class TestSerialization:
     def test_round_trip(self):
         c = compile_ising(EvolutionParams(1.234, 2, 3.0))

@@ -256,6 +256,11 @@ BAD_CIRCUITS = {
     pytest.param("simulate", {"theta_grid": [0.5, math.inf]}, [], id="theta-inf"),
     pytest.param("schedule", {}, ["--thetas", "nan"], id="thetas-flag-nan"),
     pytest.param("trotter-scan", {}, ["--n-list", "1,x"], id="n-list-flag-text"),
+    # an empty list flag is a given flag, not a request for the defaults
+    pytest.param("simulate", {}, ["--thetas=", "--no-noise"], id="thetas-flag-empty"),
+    pytest.param("trotter-scan", {}, ["--n-list="], id="n-list-flag-empty"),
+    pytest.param("simulate", {"noise": {"t1_us": [1e-320, 7.1], "t2_us": [1e-320, 4.9]}},
+                 [], id="t1-t2-rate-overflow"),
     pytest.param("schedule", {}, ["--circuit-in", "missing.txt"],
                  id="circuit-in-missing"),
     pytest.param("schedule", {}, ["--circuit-in", "bad.txt"], id="circuit-in-bad-line"),

@@ -64,6 +64,83 @@ class TestDecoherenceKraus:
         with pytest.raises(ValueError):
             decoherence_kraus(-1.0, 7.1, 5.4)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 7.1, 5.4), (math.nan, math.inf, math.inf), (10.0, math.nan, 5.4),
+        (10.0, 7.1, math.nan), (10.0, -7.1, 5.4), (10.0, 7.1, -5.4),
+        (10.0, 0.0, 1.0), (10.0, 7.1, 0.0), (0.0, 0.0, 0.0),
+        (10.0, 1e-320, 1e-320), (0.0, 1e-320, 1e-320), (math.inf, 7.1, 14.2),
+    ], ids=str)
+    def test_rejects_invalid_arguments_with_value_error(self, args):
+        with pytest.raises(ValueError):
+            decoherence_kraus(*args)
+
+
+def composed_decoherence_kraus(duration_ns, t1_us=math.inf, t2_us=math.inf):
+    """Reference: phase damping after amplitude damping, zero products dropped.
+
+    The composition that ``decoherence_kraus`` replaced, kept verbatim so
+    the closed form can be compared with it bit for bit.
+    """
+    def amplitude_damping_kraus(gamma):
+        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+        if gamma == 0.0:
+            return [k0]
+        return [k0, np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
+
+    def dephasing_kraus(lam):
+        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
+        if lam == 0.0:
+            return [k0]
+        return [k0, np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex)]
+
+    r1 = 0.0 if math.isinf(t1_us) else 1.0 / t1_us
+    r2 = 0.0 if math.isinf(t2_us) else 1.0 / t2_us
+    r_phi = max(r2 - r1 / 2.0, 0.0)
+    t = duration_ns * 1e-3
+    gamma = 1.0 - math.exp(-t * r1)
+    lam = 1.0 - math.exp(-2.0 * t * r_phi)
+    kraus = []
+    for p in dephasing_kraus(lam):
+        for a in amplitude_damping_kraus(gamma):
+            k = p @ a
+            if np.max(np.abs(k)) > 0.0:
+                kraus.append(k)
+    return kraus
+
+
+@st.composite
+def decoherence_args(draw):
+    """Duration 0, T = inf, T2 = 2*T1, gamma -> 1 (long gates) and random values."""
+    duration = draw(st.just(0.0) | st.sampled_from((1e5, 1e9)) | st.floats(0.0, 1e6))
+    t1 = draw(st.just(math.inf) | st.floats(1e-3, 100.0))
+    t2 = draw(st.just(2.0 * t1) | st.floats(1e-3, min(2.0 * t1, 200.0)))
+    return duration, t1, t2
+
+
+@settings(deadline=None, max_examples=500)
+@given(args=decoherence_args())
+def test_decoherence_kraus_matches_composition_bit_for_bit(args):
+    ks = decoherence_kraus(*args)
+    ref = composed_decoherence_kraus(*args)
+    assert len(ks) == len(ref)
+    for k, r in zip(ks, ref):
+        assert k.dtype == r.dtype and k.tobytes() == r.tobytes()
+
+
+@settings(deadline=None)
+@given(args=decoherence_args(), seed=st.integers(0, 2 ** 32 - 1))
+def test_decoherence_channel_action_on_general_state(args, seed):
+    duration, t1, t2 = args
+    rho = random_density(np.random.default_rng(seed), dim=2)
+    out = sum(k @ rho @ k.conj().T for k in decoherence_kraus(*args))
+    gamma = -math.expm1(-duration * 1e-3 / t1)
+    assert out[0, 0] == pytest.approx(rho[0, 0] + gamma * rho[1, 1], abs=1e-12)
+    # 1 - gamma is exact only to ~1e-16, so its square root, which scales the
+    # coherence, only to ~1e-8 once the decay is nearly complete
+    assert out[0, 1] == pytest.approx(math.exp(-duration * 1e-3 / t2) * rho[0, 1],
+                                      abs=1e-8)
+    assert out[1, 1] == pytest.approx((1.0 - gamma) * rho[1, 1], abs=1e-12)
+
 
 class TestZZErrorUnitary:
     def test_zero_angle(self):
@@ -90,6 +167,13 @@ class TestNoiseParams:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             NoiseParams(t1_us=(1.0, 1.0), t2_us=(2.5, 1.0))
+
+    @pytest.mark.parametrize("t1, t2", [((1e-320, 7.1), (1e-320, 4.9)),
+                                        ((7.1, 6.7), (5.4, 1e-320)),
+                                        ((5e-324, 6.7), (5e-324, 4.9))])
+    def test_rejects_times_whose_rate_overflows(self, t1, t2):
+        with pytest.raises(ValueError, match="finite rates"):
+            NoiseParams(t1_us=t1, t2_us=t2)
 
     def test_theta_to_ns_constant(self):
         # pi phase angle maps to ~6.19 ns at 40.4 MHz coupling

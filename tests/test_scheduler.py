@@ -9,8 +9,8 @@ from spinsim.circuits import Circuit, EvolutionParams, Gate, compile_heisenberg,
     compile_ising
 from spinsim.noise import NoiseParams, gate_duration_ns, simulate_noisy
 from spinsim.scheduler import (PulseEvent, PulseTimeline, TimingParams,
-                               commensurate_padding, gate_footprint_durations,
-                               schedule, timeline_to_csv, validate)
+                               commensurate_padding, schedule, timeline_to_csv,
+                               validate)
 from spinsim.tomography import state_fidelity
 from spinsim.circuits import circuit_unitary
 
@@ -20,6 +20,20 @@ GOLDEN = Path(__file__).parent / "golden"
 NON_DEFAULT_TIMING = TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
                                   post_flux_wait_ns=60.0, detuning_mhz=250.0,
                                   theta_to_ns=0.5)
+
+
+def timeline_footprints(tl, c, timing):
+    """Per-gate sums of a timeline's event durations, plus the post-flux wait
+    after a gate with a flux pulse; a WAIT gate keeps its stated duration."""
+    sums = [0.0] * len(c.gates)
+    has_flux = [False] * len(c.gates)
+    for ev in tl.events:
+        if ev.gate_index >= 0:
+            sums[ev.gate_index] += ev.duration_ns
+            has_flux[ev.gate_index] |= ev.channel.startswith("flux")
+    return [g.duration_ns if g.kind == "WAIT"
+            else total + (timing.post_flux_wait_ns if flux else 0.0)
+            for g, total, flux in zip(c.gates, sums, has_flux)]
 
 
 def xy_circuit(theta):
@@ -143,7 +157,7 @@ def test_timeline_and_per_gate_durations_agree():
         for theta, n in ((np.pi, 2), (2.5, 3)):
             c = compile_ising(EvolutionParams(theta, n, 3.0))
             tl = schedule(c, timing)
-            footprints = gate_footprint_durations(tl, c, timing)
+            footprints = timeline_footprints(tl, c, timing)
             per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
             assert np.allclose(footprints, per_gate, atol=1e-9)
             psi = circuit_unitary(c) @ FIG3
@@ -172,7 +186,7 @@ def test_schedule_clean_and_footprints_match_charge(protocol, theta, n, b_over_j
     assert validate(tl, timing) == []
     params = NoiseParams(timing=timing)
     per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
-    assert np.allclose(gate_footprint_durations(tl, c, timing), per_gate, atol=1e-9)
+    assert np.allclose(timeline_footprints(tl, c, timing), per_gate, atol=1e-9)
 
 
 # An angle so small that its flux pulse ends where it starts in floating
