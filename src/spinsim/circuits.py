@@ -12,17 +12,19 @@ Conventions, pinned by the tests:
   cos(theta/2)]]``.  With the device sign j_sign = -1, XY(pi) is iSWAP and
   XY(pi/2) is sqrt(iSWAP).
 * ``ROT(a, phi, q)`` = exp(-i phi sigma_a / 2) on qubit q.
-* ``circuit_unitary`` applies the first gate first (rightmost factor).
+* ``propagate`` applies the first gate first (rightmost factor).
 * Identities that hold only up to a global phase are compared with
   ``phase_distance``.
 
-Propagation cost: ``gate_unitary`` is cached and returns read-only arrays.
-``compile_ising`` builds one Trotter step and repeats it n times, and
-``repeated_step`` recovers that step from any circuit whose gates are exactly
-``n_steps`` copies of one step.  ``circuit_unitary`` then multiplies one
-step's gate unitaries and raises the product to the power n, so a circuit
-costs one step plus O(log n) 4x4 products; any other circuit is the
-per-gate product.
+Propagation cost: ``propagate`` is the one engine for both the ideal 4x4
+unitaries (``circuit_unitary``) and the noisy 16x16 superoperators
+(``noise.simulate_noisy``).  ``compile_ising`` builds one Trotter step and
+repeats it n times, and ``repeated_step`` recovers that step from any circuit
+whose gates are exactly ``n_steps`` copies of one step.  ``propagate`` then
+multiplies one step's gate matrices into a product and raises it to the power
+n by repeated squaring, so a circuit costs one step plus O(log n) matrix
+products; any other circuit applies its gates' matrices to the state one by
+one.  ``gate_unitary`` is cached and returns read-only arrays.
 
 The Heisenberg compilation conjugates the exchange gate into the XZ and YZ
 bases with x/y rotations by +-pi/2; the basis-change signs are fixed here so
@@ -159,17 +161,29 @@ def repeated_step(c: Circuit) -> tuple[tuple[Gate, ...], int]:
     return c.gates, 1
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Ordered product of the gate unitaries: first gate applied first.
+def propagate(c: Circuit, matrix_of, state: np.ndarray) -> np.ndarray:
+    """Apply each gate's matrix ``matrix_of(gate)`` to ``state``, first gate first.
 
-    One step's product is raised to the step count of ``repeated_step``.
+    When ``repeated_step`` finds n > 1 copies of one step, the step's matrices
+    are multiplied into one product, starting from the identity; the product
+    is raised to the power n by repeated squaring and applied once.  Otherwise
+    each gate's matrix is applied to the state in turn.
     """
-    j_sign = int(c.metadata.get("j_sign", -1))
     step, n = repeated_step(c)
-    u = np.eye(4, dtype=complex)
+    if n == 1:
+        for g in step:
+            state = matrix_of(g) @ state
+        return state
+    prod = np.eye(len(state), dtype=complex)
     for g in step:
-        u = gate_unitary(g, j_sign) @ u
-    return np.linalg.matrix_power(u, n)
+        prod = matrix_of(g) @ prod
+    return np.linalg.matrix_power(prod, n) @ state
+
+
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """Ordered product of the gate unitaries: first gate applied first."""
+    j_sign = int(c.metadata.get("j_sign", -1))
+    return propagate(c, lambda g: gate_unitary(g, j_sign), np.eye(4, dtype=complex))
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -290,8 +290,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
-    psi0 = cfg.psi0() if cfg.initial_state is not None else np.array(
-        PRESETS["fig3"], dtype=complex)
+    psi0 = replace(cfg, protocol="ising").psi0()
     rho0 = np.outer(psi0, psi0.conj())
     rows = []
     for theta in cfg.theta_grid:

@@ -333,7 +333,14 @@ def test_cptp_on_random_states(rng):
         assert np.linalg.eigvalsh(out).min() > -1e-8
 
 
-def kraus_reference(circuit, params, rho0, durations_ns=None):
+def step_z_fraction(g, meta):
+    """The gate's share of the step's z rotation |B| theta / (2 n)."""
+    full = (abs(float(meta.get("b_over_j", 0.0))) * float(meta.get("theta", 0.0))
+            / (2.0 * int(meta.get("n_steps", 1))))
+    return abs(g.angle) / full if full > 0.0 else 1.0
+
+
+def kraus_reference(circuit, params, rho0):
     """Gate-by-gate Kraus sums: the engine that the cached superoperators replace."""
     def apply(rho, kraus):
         out = np.zeros_like(rho)
@@ -345,26 +352,36 @@ def kraus_reference(circuit, params, rho0, durations_ns=None):
     j_sign = int(meta.get("j_sign", -1))
     p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
     rho = np.asarray(rho0, dtype=complex)
-    for idx, g in enumerate(circuit.gates):
+    for g in circuit.gates:
         rho = apply(rho, [gate_unitary(g, j_sign)])
         if g.kind == "XY":
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg)])
         if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
-            # the gate's share of the step's z rotation |B| theta / (2 n)
-            full = (abs(float(meta.get("b_over_j", 0.0))) * float(meta.get("theta", 0.0))
-                    / (2.0 * int(meta.get("n_steps", 1))))
-            frac = abs(g.angle) / full if full > 0.0 else 1.0
+            frac = step_z_fraction(g, meta)
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg * frac)])
             a = math.radians(params.crosstalk_phase_deg * frac)
             rho = apply(rho, [gate_unitary(Gate.rot("z", a, 1))])
         if g.kind == "ROT" and g.axis in ("x", "y"):
             rho = apply(rho, [op_on_qubit(k, g.qubit)
                               for k in depolarizing_kraus(p_depol)])
-        dur = (durations_ns[idx] if durations_ns is not None
-               else gate_duration_ns(g, params, meta))
+        dur = gate_duration_ns(g, params, meta)
         ka = decoherence_kraus(dur, params.t1_us[0], params.t2_us[0])
         kb = decoherence_kraus(dur, params.t1_us[1], params.t2_us[1])
         rho = apply(rho, [kron(a, b) for a in ka for b in kb])
+    return (rho + rho.conj().T) / 2.0
+
+
+def matvec_reference(circuit, params, rho0):
+    """Each gate's cached superoperator applied to vec(rho0) in turn."""
+    meta = circuit.metadata
+    j_sign = int(meta.get("j_sign", -1))
+    vec = np.asarray(rho0, dtype=complex).reshape(-1)
+    for g in circuit.gates:
+        z_frac = (step_z_fraction(g, meta)
+                  if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
+        vec = spinsim.noise._gate_superop(
+            g, j_sign, z_frac, gate_duration_ns(g, params, meta), params) @ vec
+    rho = vec.reshape(4, 4)
     return (rho + rho.conj().T) / 2.0
 
 
@@ -397,17 +414,30 @@ def noise_params(draw):
        b_over_j=st.floats(min_value=-5.0, max_value=5.0),
        j_sign=st.sampled_from((-1, 1)),
        params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
-       override=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_superoperator_engine_matches_kraus_reference(protocol, theta, n, b_over_j,
-                                                       j_sign, params, override, seed):
+                                                       j_sign, params, seed):
     c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
-    rng = np.random.default_rng(seed)
-    rho0 = random_density(rng)
-    durations = (list(rng.uniform(0.0, 200.0, size=len(c.gates)))
-                 if override else None)
-    rho = simulate_noisy(c, params, rho0, durations_ns=durations)
-    assert np.max(np.abs(rho - kraus_reference(c, params, rho0, durations))) <= 1e-12
+    rho0 = random_density(np.random.default_rng(seed))
+    rho = simulate_noisy(c, params, rho0)
+    assert np.max(np.abs(rho - kraus_reference(c, params, rho0))) <= 1e-12
     assert_cptp_output(rho)
+
+
+@settings(deadline=None)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)),
+       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_step_circuits_propagate_gate_by_gate(protocol, theta, b_over_j,
+                                                      j_sign, params, seed):
+    # tomography runs these shallow circuits: one superoperator per gate, no product
+    c = compiled_circuit(protocol, theta, 1, b_over_j, j_sign)
+    rho0 = random_density(np.random.default_rng(seed))
+    rho = simulate_noisy(c, params, rho0)
+    assert rho.tobytes() == matvec_reference(c, params, rho0).tobytes()
 
 
 def test_list_times_are_hashable_and_match_tuples():
@@ -429,9 +459,8 @@ def test_misleading_n_steps_propagates_gate_by_gate(c, params, seed):
     rho = simulate_noisy(c, params, rho0)
     assert np.max(np.abs(rho - kraus_reference(c, params, rho0))) <= 1e-12
     assert_cptp_output(rho)
-    # the per-gate durations override always takes the gate-by-gate loop
-    durations = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
-    assert rho.tobytes() == simulate_noisy(c, params, rho0, durations).tobytes()
+    # no repeated step: the gate-by-gate loop, bit for bit
+    assert rho.tobytes() == matvec_reference(c, params, rho0).tobytes()
 
 
 def test_ising_step_power_looks_up_one_step(monkeypatch):

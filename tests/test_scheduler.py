@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from spinsim.circuits import Circuit, EvolutionParams, Gate, compile_heisenberg, \
     compile_ising
-from spinsim.noise import NoiseParams, gate_duration_ns, simulate_noisy
+from spinsim.noise import NoiseParams, gate_duration_ns
 from spinsim.scheduler import (PulseEvent, PulseTimeline, TimingParams,
                                commensurate_padding, schedule, timeline_to_csv,
                                validate)
-from spinsim.tomography import state_fidelity
-from spinsim.circuits import circuit_unitary
 
-from conftest import FIG3, compiled_circuit
+from conftest import compiled_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 NON_DEFAULT_TIMING = TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
@@ -150,8 +148,7 @@ class TestValidate:
 
 
 def test_timeline_and_per_gate_durations_agree():
-    # the two duration accountings drive the noise model identically
-    rho0 = np.outer(FIG3, FIG3.conj())
+    # the timeline's footprints equal the noise model's per-gate charge
     for timing in (TimingParams(), NON_DEFAULT_TIMING):
         params = NoiseParams(timing=timing)
         for theta, n in ((np.pi, 2), (2.5, 3)):
@@ -160,11 +157,6 @@ def test_timeline_and_per_gate_durations_agree():
             footprints = timeline_footprints(tl, c, timing)
             per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
             assert np.allclose(footprints, per_gate, atol=1e-9)
-            psi = circuit_unitary(c) @ FIG3
-            f1 = state_fidelity(simulate_noisy(c, params, rho0), psi)
-            f2 = state_fidelity(
-                simulate_noisy(c, params, rho0, durations_ns=footprints), psi)
-            assert abs(f1 - f2) < 1e-9
 
 
 durations = st.floats(min_value=0.0, max_value=100.0)
