@@ -13,14 +13,14 @@ from .noise import (NoiseParams, THETA_TO_NS, TimingParams, decoherence_kraus,
                     zz_error_unitary)
 from .scheduler import (PulseEvent, PulseTimeline, commensurate_padding,
                         schedule, timeline_to_csv, validate)
-from .tomography import (FidelityReport, TomographyRecord, chi_from_json,
-                         chi_of_unitary, chi_to_json, linear_inversion,
-                         negativity, process_fidelity, process_tomography,
+from .tomography import (TomographyRecord, chi_from_json, chi_of_unitary,
+                         chi_to_json, linear_inversion, negativity,
+                         process_fidelity, process_tomography,
                          reconstruct_state, state_fidelity,
                          synthesize_measurements)
 
 __all__ = [
-    "Circuit", "EvolutionParams", "FidelityReport", "Gate", "NoiseParams",
+    "Circuit", "EvolutionParams", "Gate", "NoiseParams",
     "PulseEvent", "PulseTimeline", "SpinModelSpec", "THETA_TO_NS",
     "TimingParams", "TomographyRecord", "build_hamiltonian",
     "build_heisenberg", "build_ising", "build_xy", "chi_from_json",

@@ -10,8 +10,8 @@ compiled protocol's output with that exact state, and the ``noisy_*``
 columns repeat the observables for the noise-model simulation of the
 protocol.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 timeline
-validation failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
+timeline validation failure.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .hamiltonians import exact_evolve, oracle_hamiltonian
 from .noise import (F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity,
                     simulate_noisy)
 from .scheduler import schedule, timeline_to_csv, validate
-from .tomography import (PAULI_LABELS_2Q, PAULI_MATRICES_2Q, FidelityReport,
-                         chi_of_unitary, chi_to_json, negativity,
-                         process_fidelity, process_tomography, state_fidelity)
+from .tomography import (PAULI_LABELS_2Q, PAULI_MATRICES_2Q, chi_of_unitary,
+                         chi_to_json, negativity, process_fidelity,
+                         process_tomography, state_fidelity)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,7 +194,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -322,26 +322,20 @@ def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
     for i, theta in enumerate(cfg.theta_grid):
         circ = build_circuit(cfg, theta)
         u_ideal = circuit_unitary(circ)
-        if cfg.noise is not None:
-            noise = cfg.noise
 
-            def channel(rho, _c=circ, _n=noise):
-                return simulate_noisy(_c, _n, rho)
-        else:
-            def channel(rho, _u=u_ideal):
-                return _u @ rho @ _u.conj().T
+        def channel(rho):
+            if cfg.noise is not None:
+                return simulate_noisy(circ, cfg.noise, rho)
+            return u_ideal @ rho @ u_ideal.conj().T
+
         chi = process_tomography(channel)
-        chi_ideal = chi_of_unitary(u_ideal)
         out_state = channel(rho0)
-        psi_target = u_ideal @ psi0
-        rep = FidelityReport(
-            f_state=state_fidelity(out_state, psi_target),
-            f_process=process_fidelity(chi, chi_ideal),
-            negativity=min(negativity(out_state), 0.5),
-        )
         (out_dir / f"chi_{cfg.protocol}_theta{i:03d}.json").write_text(
             chi_to_json(chi), newline="\n")
-        rows.append([float(theta), rep.f_process, rep.f_state, rep.negativity])
+        rows.append([float(theta),
+                     process_fidelity(chi, chi_of_unitary(u_ideal)),
+                     state_fidelity(out_state, u_ideal @ psi0),
+                     min(negativity(out_state), 0.5)])
     _write_csv(out_dir / "tomography_report.csv",
                ["theta", "f_process", "f_state", "negativity"], rows)
     return EXIT_OK
@@ -451,7 +445,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # numerical or I/O failure
+    except (ArithmeticError, ValueError, RuntimeError, OSError) as exc:
+        # numerical or I/O failure; any other exception is a bug and propagates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -207,14 +207,14 @@ def _step_z_fraction(gate: Gate, metadata: dict) -> float:
     return abs(gate.angle) / full
 
 
-def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict | None = None) -> float:
+def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict) -> float:
     """Wall-clock footprint of one gate, waits included for flux pulses."""
     t = params.timing
     if gate.kind == "XY":
         return t.theta_to_ns * gate.theta + 2.0 * t.buffer_ns + t.post_flux_wait_ns
     if gate.kind == "ROT":
         if gate.axis == "z":
-            return t.rz_flux_ns(gate, metadata or {}) + t.post_flux_wait_ns
+            return t.rz_flux_ns(gate, metadata) + t.post_flux_wait_ns
         return t.single_qubit_ns
     if gate.kind == "WAIT":
         return gate.duration_ns

@@ -147,13 +147,8 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
             ready = [max(r, cursor_floor) for r in ready]
         idx += 1
 
-    total = max(
-        [cursor_floor, *ready] + [e + wait for e, _ in ends]
-        + [ev.end_ns for ev in events],
-        default=0.0,
-    )
-    if not events and cursor_floor == 0.0:
-        total = 0.0
+    total = max([cursor_floor, *ready] + [e + wait for e, _ in ends]
+                + [ev.end_ns for ev in events])
     if not math.isfinite(total):  # a pulse or wait overflowed the float range
         raise ValueError(f"pulse times overflow: the timeline ends at {total} ns")
 

@@ -58,21 +58,6 @@ class TomographyRecord:
                 raise ValueError(f"expectation <{label}> = {e} out of range")
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    f_state: float
-    f_process: float
-    negativity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.f_state <= 1.0:
-            raise ValueError("f_state out of [0, 1]")
-        if not 0.0 <= self.f_process <= 1.0:
-            raise ValueError("f_process out of [0, 1]")
-        if not 0.0 <= self.negativity <= 0.5 + 1e-12:
-            raise ValueError("negativity out of [0, 0.5]")
-
-
 def synthesize_measurements(rho: np.ndarray, noise_sigma: float = 0.0,
                             seed: int = 0) -> TomographyRecord:
     """Exact Pauli expectations of rho plus Gaussian jitter, seeded."""

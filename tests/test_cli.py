@@ -5,8 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinsim.cli
+from conftest import FIG3
+from spinsim.circuits import EvolutionParams, compile_ising
 from spinsim.cli import load_config, main
-from spinsim.hamiltonians import dominant_angular_frequency
+from spinsim.hamiltonians import (dominant_angular_frequency, exact_evolve,
+                                  oracle_hamiltonian)
+from spinsim.noise import NoiseParams, simulate_noisy
+from spinsim.tomography import state_fidelity
 
 
 def read_csv(path: Path):
@@ -117,6 +123,13 @@ class TestConfigErrors:
                            initial_state=[1.0, 1.0, 0.0, 0.0])  # unnormalized
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_noise_null_means_default_noise(self, tmp_path):
+        cfg = write_config(tmp_path, protocol="xy", theta_grid=[1.0], noise=None)
+        assert load_config(cfg, {}).noise == NoiseParams()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        header, _ = read_csv(tmp_path / "xy_dynamics.csv")
+        assert "noisy_fid_vs_exact" in header
+
     def test_custom_amplitudes_accepted(self, tmp_path):
         s = 1.0 / math.sqrt(2.0)
         cfg = write_config(tmp_path, protocol="xy", theta_grid=[1.0],
@@ -143,6 +156,20 @@ class TestTrotterScan:
         big = {int(r["n"]): r["fid_ideal_trotter"] for r in rows
                if abs(r["theta"] - 3 * math.pi / 2) < 1e-9}
         assert big[5] > big[1]
+
+    def test_noisy_rows_match_noise_engine(self, tmp_path):
+        cfg = write_config(tmp_path, theta_grid=[0.5, 1.0], n_list=[1, 3])
+        assert main(["trotter-scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trotter_scan.csv")
+        h = oracle_hamiltonian("ising", 3.0, -1)
+        rho0 = np.outer(FIG3, FIG3.conj())
+        assert len(rows) == 4
+        for row in rows:
+            circ = compile_ising(EvolutionParams(row["theta"], int(row["n"]), 3.0))
+            rho = simulate_noisy(circ, NoiseParams(), rho0)
+            expected = state_fidelity(rho, exact_evolve(h, row["theta"] / 2.0, FIG3))
+            assert row["fid_noisy"] == float(f"{expected:.12g}")
+            assert row["fid_noisy"] < row["fid_ideal_trotter"]
 
 
 class TestTomographyCommand:
@@ -315,14 +342,63 @@ BAD_CIRCUITS = {
                  id="schedule-z-angle-overflow"),
     pytest.param("trotter-scan", {"b_over_j": 1e308}, ["--thetas", "8"],
                  id="trotter-scan-z-angle-overflow"),
+    pytest.param("simulate", {}, ["--thetas", "-1"], id="thetas-flag-negative"),
+    pytest.param("simulate", {}, ["--protocol", "ising", "--n-steps", "0"],
+                 id="n-steps-flag-0"),
+    pytest.param("trotter-scan", {}, ["--n-list", "0"], id="n-list-flag-0"),
+    pytest.param("simulate", {"j_sign": 2}, [], id="j_sign-2"),
+    pytest.param("simulate", {"initial_state": [1, 0, 0]}, [],
+                 id="initial-state-3-amplitudes"),
+    pytest.param("simulate", {"initial_state": [[1, 0, 0], 0, 0, 0]}, [],
+                 id="amplitude-pair-3-entries"),
+    pytest.param("simulate", {"noise": 5}, [], id="noise-number"),
+    pytest.param("simulate", {"noise": {"t3_us": [1, 2]}}, [], id="noise-unknown-field"),
+    pytest.param("simulate", {"noise": {"gate_durations": []}}, [],
+                 id="gate-durations-array"),
+    pytest.param("simulate", None, [], id="config-missing"),
+    pytest.param("simulate", [1, 2], [], id="config-array"),
+    pytest.param("simulate", b"\xff\xfe{}", [], id="config-not-utf8"),
+    pytest.param("simulate", {"b_over_j": math.nan}, [], id="b_over_j-nan"),
+    pytest.param("simulate", {}, ["--b-over-j", "nan"], id="b-over-j-flag-nan"),
+    pytest.param("simulate", {"noise": {"t1_us": [40, 40, 40]}}, [],
+                 id="t1_us-3-entries"),
+    pytest.param("simulate", {"noise": {"jz_tilde_angle_deg": math.inf}}, [],
+                 id="jz-tilde-angle-inf"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
+    """``config`` is dumped as JSON, written raw if bytes, or not written if None."""
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CIRCUITS.items():
         (tmp_path / name).write_text(text)
-    cfg = write_config(tmp_path, **config)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_bytes(config if isinstance(config, bytes)
+                        else json.dumps(config).encode())
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
                  *flags]) == 2
+
+
+def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):
+    def overflow(*args):
+        raise FloatingPointError("overflow in propagation")
+    monkeypatch.setattr(spinsim.cli, "simulate_noisy", overflow)
+    assert main(["simulate", "--thetas", "1.0", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: overflow in propagation\n"
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    """A bug is not a numerical error: its traceback is not turned into exit 3."""
+    def broken(*args):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(spinsim.cli, "simulate_noisy", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["simulate", "--thetas", "1.0", "--out", str(tmp_path)])
+
+
+def test_nan_fidelity_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(spinsim.cli, "state_fidelity", lambda *args: math.nan)
+    assert main(["tomography", "--thetas", "1.0", "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "tomography_report.csv").exists()
 
 
 def test_integral_config_values_accepted():
