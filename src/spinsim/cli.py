@@ -245,13 +245,17 @@ def _check_finite(rows) -> None:
                 raise FloatingPointError("non-finite value in output row")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
     _check_finite(rows)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             _FMT(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.write_text(_csv_text(header, rows), newline="\n")
 
 
 def _bloch_row(state) -> list[float]:
@@ -318,8 +322,8 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
-    rows = []
-    for i, theta in enumerate(cfg.theta_grid):
+    chi_texts, rows = [], []
+    for theta in cfg.theta_grid:
         circ = build_circuit(cfg, theta)
         u_ideal = circuit_unitary(circ)
 
@@ -330,14 +334,17 @@ def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
 
         chi = process_tomography(channel)
         out_state = channel(rho0)
-        (out_dir / f"chi_{cfg.protocol}_theta{i:03d}.json").write_text(
-            chi_to_json(chi), newline="\n")
+        chi_texts.append(chi_to_json(chi))
         rows.append([float(theta),
                      process_fidelity(chi, chi_of_unitary(u_ideal)),
                      state_fidelity(out_state, u_ideal @ psi0),
                      min(negativity(out_state), 0.5)])
-    _write_csv(out_dir / "tomography_report.csv",
-               ["theta", "f_process", "f_state", "negativity"], rows)
+    # every text is built and checked before the first file is written, so a
+    # numerical failure leaves no partial output
+    report = _csv_text(["theta", "f_process", "f_state", "negativity"], rows)
+    for i, text in enumerate(chi_texts):
+        (out_dir / f"chi_{cfg.protocol}_theta{i:03d}.json").write_text(text, newline="\n")
+    (out_dir / "tomography_report.csv").write_text(report, newline="\n")
     return EXIT_OK
 
 

@@ -4,6 +4,15 @@ Process matrices (chi) are expressed in the fixed two-qubit operator basis
 {I, X, Ytilde, Z} (x) {I, X, Ytilde, Z} with Ytilde = -i * sigma_y, which
 makes the ideal exchange-gate chi matrices real.  Measurement records use
 the ordinary Hermitian Pauli strings.
+
+A chi matrix is written as JSON by ``chi_to_json`` in one fixed byte format:
+the layout of ``json.dumps`` with ``indent=1`` for the document {"basis",
+"re", "im"}, each number as its shortest round-trip ``repr``.  The format is
+filled in from a template built at import, not by json's encoder, which with
+``indent`` set falls back to pure Python and takes about twice as long per
+chi; the text of an entry that mirrors its Hermitian partner bit for bit is
+copied from it.  Non-finite entries are rejected, because ``NaN`` and
+``Infinity`` are not JSON.
 """
 
 from __future__ import annotations
@@ -176,16 +185,65 @@ def negativity(rho: np.ndarray) -> float:
     return float(abs(w[w < 0.0].sum()))
 
 
+def _indent1_list(items, depth: int) -> str:
+    """A JSON list laid out as json.dumps(..., indent=1) writes it at depth."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+# json.dumps({"basis", "re", "im"}, indent=1) of a 16x16 chi, with one %s per
+# number: re row by row, then im.
+_CHI_ROWS = _indent1_list([_indent1_list(["%s"] * 16, 2)] * 16, 1)
+_CHI_JSON = ('{\n "basis": ' + _indent1_list([f'"{l}"' for l in CHI_BASIS_LABELS], 1)
+             + ',\n "re": ' + _CHI_ROWS + ',\n "im": ' + _CHI_ROWS + "\n}")
+
+# Flat indices of the strict lower triangle of a 16x16 matrix, and of each
+# entry's mirror above the diagonal.
+_LOWER = np.ravel_multi_index(np.tril_indices(16, -1), (16, 16))
+_MIRROR = np.ravel_multi_index(np.tril_indices(16, -1)[::-1], (16, 16))
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _entry_reprs(part: np.ndarray, negated: bool) -> list[str]:
+    """repr of each entry of a real 16x16 matrix, row by row.
+
+    A lower entry whose bits are its mirror's (with the sign bit flipped, if
+    negated) takes the mirror's text (with the leading '-' removed or added)
+    instead of formatting its own float.  Chi from process_tomography is
+    Hermitian bit for bit, so this halves the float formatting that is most
+    of the writer's time; any other entry is formatted on its own.
+    """
+    flat = part.ravel()
+    bits = flat.view(np.uint64)
+    flip = _SIGN_BIT if negated else np.uint64(0)
+    mirrored = bits[_LOWER] == bits[_MIRROR] ^ flip
+    lower, mirror = _LOWER[mirrored], _MIRROR[mirrored]
+    own = np.ones(256, dtype=bool)
+    own[lower] = False
+    texts = np.empty(256, dtype=object)
+    texts[own] = list(map(repr, flat[own].tolist()))
+    if negated:
+        texts[lower] = [t[1:] if t[0] == "-" else "-" + t for t in texts[mirror].tolist()]
+    else:
+        texts[lower] = texts[mirror]
+    return texts.tolist()
+
+
 def chi_to_json(chi: np.ndarray) -> str:
+    """The bytes of json.dumps({"basis", "re", "im"}, indent=1) for chi.
+
+    Each entry is written as ``repr(float)``, as json writes it, into a
+    template of json's indent=1 layout; json's encoder itself is not used,
+    because with indent set it runs one Python call per row and number.
+    A non-finite entry raises ValueError: json would write it as ``NaN`` or
+    ``Infinity``, which are not JSON.
+    """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (16, 16):
         raise ValueError("chi must be 16x16")
-    doc = {
-        "basis": list(CHI_BASIS_LABELS),
-        "re": [[float(x) for x in row] for row in chi.real],
-        "im": [[float(x) for x in row] for row in chi.imag],
-    }
-    return json.dumps(doc, indent=1)
+    if not np.isfinite(chi).all():
+        raise ValueError("chi has non-finite entries")
+    return _CHI_JSON % (*_entry_reprs(chi.real, False), *_entry_reprs(chi.imag, True))
 
 
 def chi_from_json(text: str) -> np.ndarray:

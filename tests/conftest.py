@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -10,6 +12,16 @@ from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg
 # repeatable and two runs compare like for like.
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
+
+# Hypothesis writes the report of a failing property test with a module that
+# imports libcst, whose use of mypy_extensions.TypedDict warns at import.
+# Under filterwarnings = ["error"] that warning ends the whole run with an
+# INTERNALERROR at the first failing example, so import the module once here
+# with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_hermitian(rng, dim=4):

@@ -7,12 +7,13 @@ import pytest
 
 import spinsim.cli
 from conftest import FIG3
-from spinsim.circuits import EvolutionParams, compile_ising
-from spinsim.cli import load_config, main
+from spinsim.circuits import EvolutionParams, circuit_unitary, compile_ising
+from spinsim.cli import build_circuit, load_config, main
 from spinsim.hamiltonians import (dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
 from spinsim.noise import NoiseParams, simulate_noisy
-from spinsim.tomography import state_fidelity
+from spinsim.tomography import process_tomography, state_fidelity
+from test_tomography import json_reference
 
 
 def read_csv(path: Path):
@@ -181,6 +182,24 @@ class TestTomographyCommand:
         assert rows[0]["f_process"] == pytest.approx(1.0, abs=1e-9)
         doc = json.loads((tmp_path / "chi_xy_theta000.json").read_text())
         assert doc["basis"][0] == "II"
+
+    @pytest.mark.parametrize("noise", [[], ["--no-noise"]])
+    @pytest.mark.parametrize("protocol", ["xy", "heisenberg", "ising"])
+    def test_chi_files_are_json_encoder_bytes(self, tmp_path, protocol, noise):
+        """Each chi file holds json's own indent=1 text of the same chi."""
+        thetas = [0.0, 1.0, math.pi]
+        assert main(["tomography", "--protocol", protocol, *noise, "--thetas",
+                     ",".join(map(repr, thetas)), "--out", str(tmp_path)]) == 0
+        cfg = load_config(None, {"protocol": protocol, "theta_grid": thetas,
+                                 **({"noise": "off"} if noise else {})})
+        for i, theta in enumerate(thetas):
+            circ = build_circuit(cfg, theta)
+            u = circuit_unitary(circ)
+            chi = process_tomography(
+                (lambda rho: simulate_noisy(circ, cfg.noise, rho)) if cfg.noise
+                else (lambda rho: u @ rho @ u.conj().T))
+            written = (tmp_path / f"chi_{protocol}_theta{i:03d}.json").read_bytes()
+            assert written == json_reference(chi).encode()
 
     def test_noisy_xy_process_fidelity(self, tmp_path):
         cfg = write_config(tmp_path, protocol="xy", theta_grid=[math.pi])
@@ -399,6 +418,23 @@ def test_nan_fidelity_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(spinsim.cli, "state_fidelity", lambda *args: math.nan)
     assert main(["tomography", "--thetas", "1.0", "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "tomography_report.csv").exists()
+    assert not list(tmp_path.glob("chi_*.json"))
+
+
+def test_non_finite_chi_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A NaN chi at the last angle fails the run before any file is written."""
+    tomography = spinsim.cli.process_tomography
+    chis = []
+
+    def nan_at_third(channel):
+        chis.append(tomography(channel))
+        if len(chis) == 3:
+            chis[-1][0, 0] = math.nan
+        return chis[-1]
+    monkeypatch.setattr(spinsim.cli, "process_tomography", nan_at_third)
+    assert main(["tomography", "--thetas", "0.5,1.0,1.5", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: chi has non-finite entries\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integral_config_values_accepted():

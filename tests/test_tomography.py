@@ -1,12 +1,16 @@
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_unitary,
                               compile_heisenberg)
 from spinsim.hamiltonians import SpinModelSpec, build_xy, exact_evolve
 from spinsim.linalg import kron
+from spinsim.noise import NoiseParams, simulate_noisy
 from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
                                 CHI_BASIS, PROCESS_INPUT_STATES, TomographyRecord,
                                 chi_from_json, chi_of_unitary,
@@ -15,12 +19,35 @@ from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
                                 reconstruct_state, state_fidelity,
                                 synthesize_measurements)
 
-from conftest import (BELL, FIG2, SWAP, random_density, random_state,
-                      random_unitary)
+from conftest import (BELL, FIG2, SWAP, compiled_circuit, random_density,
+                      random_state, random_unitary)
 
 
 def unitary_channel(u):
     return lambda rho: u @ rho @ u.conj().T
+
+
+def json_reference(chi):
+    """The chi document as json's own encoder writes it: the byte format."""
+    chi = np.asarray(chi, dtype=complex)
+    return json.dumps({"basis": list(CHI_BASIS_LABELS),
+                       "re": [[float(x) for x in row] for row in chi.real],
+                       "im": [[float(x) for x in row] for row in chi.imag]},
+                      indent=1)
+
+
+def first_difference(chi):
+    """None if chi_to_json writes json's own bytes, else the first line that differs.
+
+    The texts are compared here, not in the assert, because pytest's report of
+    a failed assert on two chi documents and the array behind them costs about
+    0.1 s, and hypothesis has one made for every example it tries in shrinking.
+    """
+    got, want = chi_to_json(chi), json_reference(chi)
+    if got == want:
+        return None
+    pairs = zip_longest(got.splitlines(True), want.splitlines(True))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
 
 
 def chi_system():
@@ -209,3 +236,61 @@ class TestChiSerialization:
         assert doc["basis"][:4] == ["II", "IX", "IY", "IZ"]
         assert len(doc["re"]) == 16 and len(doc["im"][0]) == 16
         assert doc["re"][0][0] == pytest.approx(1.0)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)):
+            chi = chi_of_unitary(np.eye(4))
+            chi[3, 5] = bad
+            with pytest.raises(ValueError, match="chi has non-finite entries"):
+                chi_to_json(chi)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# where repr changes form: signed zero, the smallest subnormal, integer-valued
+# floats, and the switch to exponent notation below 1e-4 and from 1e16 up
+edge = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -3.0, 4096.0, 2.0 ** 53,
+                     -(2.0 ** 60), 1e-4, -1e-4, float(np.nextafter(1e-4, 0.0)),
+                     1e16, -1e16, float(np.nextafter(1e16, 0.0)))),
+    st.floats(9e-5, 2e-4), st.floats(-2e-4, -9e-5),
+    st.floats(9e15, 2e16), st.floats(-2e16, -9e15))
+
+
+def complex_matrices(parts):
+    return st.builds(lambda re, im: re + 1j * im,
+                     arrays(float, (16, 16), elements=parts),
+                     arrays(float, (16, 16), elements=parts))
+
+
+@settings(deadline=None)
+@given(chi=complex_matrices(finite) | complex_matrices(edge))
+def test_chi_json_matches_json_encoder(chi):
+    assert first_difference(chi) is None
+
+
+@settings(deadline=None)
+@given(a=complex_matrices(st.floats(-1e300, 1e300)) | complex_matrices(edge),
+       changed=st.lists(st.tuples(st.integers(0, 255), edge, edge), max_size=4))
+def test_hermitian_chi_json_matches_json_encoder(a, changed):
+    """Exactly Hermitian chi, and chi with a few entries no longer mirrored."""
+    chi = (a + a.conj().T) / 2.0
+    for k, re, im in changed:
+        chi.flat[k] = complex(re, im)
+    assert first_difference(chi) is None
+
+
+@settings(deadline=None)
+@given(protocol=st.sampled_from(("xy", "heisenberg", "ising")),
+       theta=st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi),
+       n=st.integers(min_value=1, max_value=20),
+       b_over_j=st.floats(min_value=-5.0, max_value=5.0),
+       j_sign=st.sampled_from((-1, 1)),
+       noisy=st.booleans())
+def test_tomography_chi_json_matches_json_encoder(protocol, theta, n, b_over_j,
+                                                  j_sign, noisy):
+    circ = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
+    if noisy:
+        chi = process_tomography(lambda rho: simulate_noisy(circ, NoiseParams(), rho))
+    else:
+        chi = process_tomography(unitary_channel(circuit_unitary(circ)))
+    assert first_difference(chi) is None
