@@ -12,6 +12,11 @@ protocol.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
+
+Configs, circuits and schedules are plain Python.  ``simulate``,
+``trotter-scan`` and ``tomography`` import numpy and the numeric modules on
+first use and bind their names as module globals, so ``schedule`` and
+``--help`` never load numpy.
 """
 
 from __future__ import annotations
@@ -23,18 +28,16 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .circuits import (Circuit, EvolutionParams, circuit_to_text,
-                       circuit_from_text, circuit_unitary, compile_heisenberg,
-                       compile_ising, compile_xy)
-from .hamiltonians import exact_evolve, oracle_hamiltonian
-from .noise import (F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity,
-                    simulate_noisy)
+from .device import F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity
+from .ir import (Circuit, EvolutionParams, circuit_from_text, circuit_to_text,
+                 compile_heisenberg, compile_ising, compile_xy)
 from .scheduler import schedule, timeline_to_csv, validate
-from .tomography import (PAULI_LABELS_2Q, PAULI_MATRICES_2Q, chi_of_unitary,
-                         chi_to_json, negativity, process_fidelity,
-                         process_tomography, state_fidelity)
+
+# numeric names, bound as globals by _bind_numerics on first use, so that
+# `spinsim schedule` never loads numpy
+_NUMERIC = ("circuit_unitary", "exact_evolve", "oracle_hamiltonian", "simulate_noisy",
+            "chi_of_unitary", "chi_to_json", "negativity", "process_fidelity",
+            "process_tomography", "state_fidelity")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,9 +58,34 @@ PROTOCOLS = ("xy", "heisenberg", "ising")
 _DEFAULT_GRID = tuple(k * math.pi / 16.0 for k in range(33))
 
 _OBS_COLS = ("sx1", "sy1", "sz1", "sx2", "sy2", "sz2", "xx_corr", "negativity")
-# Pauli observable of each column before negativity; qubit 1 is written first
-_OBS = tuple(PAULI_MATRICES_2Q[PAULI_LABELS_2Q.index(label)]
-             for label in ("XI", "YI", "ZI", "IX", "IY", "IZ", "XX"))
+# Pauli string of each column before negativity; qubit 1 is written first
+_OBS_LABELS = ("XI", "YI", "ZI", "IX", "IY", "IZ", "XX")
+
+
+def _bind_numerics() -> None:
+    """Bind numpy as ``np``, the ``_NUMERIC`` names and ``_OBS`` as globals.
+
+    Every numeric command calls this first.  The names are read from the
+    package, which imports each from its home module.  A name already bound
+    is kept, so a wrapper installed on this module, before or after the first
+    call, is the one the commands call.
+    """
+    import numpy
+    g = globals()
+    g.setdefault("np", numpy)
+    for name in _NUMERIC:
+        g.setdefault(name, getattr(sys.modules[__package__], name))
+    if "_OBS" not in g:  # the Pauli observable of each _OBS_LABELS entry
+        from .tomography import PAULI_LABELS_2Q as labels, PAULI_MATRICES_2Q as paulis
+        g["_OBS"] = tuple(paulis[labels.index(label)] for label in _OBS_LABELS)
+
+
+def __getattr__(name: str):
+    """A numeric name read before any command has bound it, e.g. to wrap it."""
+    if name in _NUMERIC or name in ("np", "_OBS"):
+        _bind_numerics()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -94,9 +122,11 @@ class RunConfig:
             raise ConfigError("n_list entries must be >= 1")
         if self.j_sign not in (-1, 1):
             raise ConfigError("j_sign must be +1 or -1")
-        self.psi0()  # validate the initial state eagerly
+        self._amplitudes()  # validate the initial state eagerly, without numpy
 
-    def psi0(self) -> np.ndarray:
+    def _amplitudes(self) -> tuple[tuple[complex, ...], bool]:
+        """The initial state's amplitudes, checked in plain Python, and
+        whether they were given as numbers (and are still to be normalised)."""
         spec = self.initial_state
         if spec is None:
             spec = "fig3" if self.protocol == "ising" else "fig2"
@@ -105,18 +135,26 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown initial-state preset {spec!r}; "
                     f"choose from {sorted(PRESETS)} or give 4 amplitudes")
-            return np.array(PRESETS[spec], dtype=complex)
+            return PRESETS[spec], False
         try:
-            vec = [_amplitude(a) for a in spec]
+            vec = tuple(_amplitude(a) for a in spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad initial_state: {exc}") from exc
         if len(vec) != 4:
             raise ConfigError("initial_state needs exactly 4 amplitudes")
-        psi = np.array(vec, dtype=complex)
-        norm = np.linalg.norm(psi)
+        # np.linalg.norm to the bit: the squares summed in the order of
+        # numpy's dot, re.re + im.im, each as (x0^2 + x2^2) + (x1^2 + x3^2)
+        norm = math.sqrt(sum((x[0] * x[0] + x[2] * x[2]) + (x[1] * x[1] + x[3] * x[3])
+                             for x in ([a.real for a in vec], [a.imag for a in vec])))
         if not abs(norm - 1.0) <= 1e-6:
             raise ConfigError(f"initial state norm is {norm:.6g}, expected 1")
-        return psi / norm
+        return vec, True
+
+    def psi0(self) -> np.ndarray:
+        import numpy as np
+        vec, given = self._amplitudes()
+        psi = np.array(vec, dtype=complex)
+        return psi / np.linalg.norm(psi) if given else psi
 
 
 def _amplitude(a) -> complex:
@@ -259,16 +297,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _bloch_row(state) -> list[float]:
-    if np.asarray(state).ndim == 1:
-        rho = np.outer(state, np.conj(state))
-    else:
-        rho = np.asarray(state)
+    rho = np.asarray(state)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     vals = [float(np.trace(rho @ obs).real) for obs in _OBS]
     vals.append(negativity(rho))
     return vals
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+    _bind_numerics()
     h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
@@ -293,6 +331,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
+    _bind_numerics()
     h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
     psi0 = replace(cfg, protocol="ising").psi0()
     rho0 = np.outer(psi0, psi0.conj())
@@ -320,6 +359,7 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
+    _bind_numerics()
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
     chi_texts, rows = [], []
@@ -396,11 +436,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args) -> dict:
-    ov: dict = {}
-    for key in ("protocol", "n_steps", "b_over_j", "initial_state", "j_sign"):
-        val = getattr(args, key, None)
-        if val is not None:
-            ov[key] = val
+    # load_config drops the flags left unset (None)
+    ov = {key: getattr(args, key, None)
+          for key in ("protocol", "n_steps", "b_over_j", "initial_state", "j_sign")}
     # comma-separated lists are converted, and rejected (an empty one too),
     # by load_config
     for key, flag in (("theta_grid", "thetas"), ("n_list", "n_list")):

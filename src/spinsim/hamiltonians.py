@@ -7,7 +7,7 @@ protocol simulates.
 Couplings and fields are dimensionless, in units of the exchange-coupling
 magnitude |J|.  Evolution times are phase times: evolving for t = theta/2
 advances the dynamics by quantum phase angle theta = 2|J|tau.  Physical
-nanoseconds enter only in the noise module.
+nanoseconds enter only through ``spinsim.device``.
 """
 
 from __future__ import annotations

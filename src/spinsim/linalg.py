@@ -23,8 +23,13 @@ PAULIS_1Q = {"i": ID2, "x": SX, "y": SY, "z": SZ}
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; the first argument is the most significant factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Tensor product of two matrices; the first is the most significant factor.
+
+    One broadcast product, the same bits as ``np.kron`` at a fraction of its
+    overhead on these small matrices.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def op_on_qubit(op: np.ndarray, qubit: int) -> np.ndarray:

@@ -10,9 +10,10 @@ Timing rules enforced here and checked by ``validate``:
 * consecutive exchange flux pulses start an integer number of relative-phase
   periods apart, via the commensuration padding.
 
-All durations come from ``TimingParams``, the timing model the noise engine
-charges decoherence with.  Refocusing pi pulses are not inserted here: the
-compiled Ising sequence already carries them as gates.
+All durations come from ``device.TimingParams``, the timing model the noise
+engine charges decoherence with.  Refocusing pi pulses are not inserted here:
+the compiled Ising sequence already carries them as gates.  Like ``ir`` and
+``device``, this module is plain Python, so scheduling never loads numpy.
 
 ``schedule`` and ``validate`` each cost O(E log E) in the event count E: flux
 unit ends, buffers and event starts are kept sorted and searched with
@@ -25,8 +26,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate
-from .noise import TimingParams
+from .device import TimingParams
+from .ir import Circuit, Gate
 
 _TOL = 1e-9
 _FMT = "{:.12g}".format

@@ -1,6 +1,24 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import spinsim
+import spinsim.cli
 import spinsim.noise
 import spinsim.scheduler
+
+SRC = Path(spinsim.__file__).resolve().parents[1]
+
+
+def run_fresh(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports spinsim from SRC."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_every_exported_name_resolves():
@@ -8,7 +26,90 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_exports_are_their_home_module_objects():
+    for name in spinsim.__all__:
+        home = importlib.import_module(f"spinsim.{spinsim._HOME[name]}")
+        assert getattr(spinsim, name) is getattr(home, name), name
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from spinsim import *", namespace)
+    assert set(spinsim.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", [spinsim, spinsim.cli])
+def test_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+
+
 def test_one_timing_class():
     # the noise charge and the scheduler read the same timing model
     assert spinsim.TimingParams is spinsim.noise.TimingParams
     assert spinsim.TimingParams is spinsim.scheduler.TimingParams
+
+
+def test_submodules_resolve_after_bare_import(tmp_path):
+    proc = run_fresh(
+        "import spinsim\n"
+        "assert spinsim.ir.Gate is spinsim.Gate\n"
+        "assert spinsim.cli.main.__module__ == 'spinsim.cli'\n"
+        "assert spinsim.noise.TimingParams is spinsim.scheduler.TimingParams\n",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Each step runs in the same fresh interpreter and must leave numpy unloaded.
+NUMPY_FREE = r"""
+import json, sys
+from pathlib import Path
+
+def check(step):
+    if "numpy" in sys.modules:
+        sys.exit(f"{step} loaded numpy")
+
+import spinsim.scheduler
+check("import spinsim.scheduler")
+import spinsim.cli
+check("import spinsim.cli")
+from spinsim.cli import main
+Path("config.json").write_text(json.dumps({
+    "n_steps": 3, "b_over_j": -2.0, "initial_state": [[0.6, 0.0], [0.0, 0.8], 0, 0],
+    "noise": {"t1_us": [20, 30], "theta_to_ns": 2.5,
+              "gate_durations": {"xy_buffer_ns": 10, "post_flux_wait_ns": 30}}}))
+for protocol in ("xy", "heisenberg", "ising"):
+    code = main(["schedule", "--config", "config.json", "--protocol", protocol,
+                 "--thetas", "0.5,2.0", "--out", protocol])
+    assert code == 0, (protocol, code)
+    check(f"schedule --protocol {protocol}")
+code = main(["schedule", "--config", "config.json", "--protocol", "ising",
+             "--circuit-in", "ising/ising_theta001_circuit.txt", "--out", "again"])
+assert code == 0, code
+assert (Path("again/ising_input_timeline.csv").read_bytes()
+        == Path("ising/ising_theta001_timeline.csv").read_bytes())
+check("schedule --circuit-in")
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+check("--help")
+"""
+
+
+def test_schedule_and_help_never_load_numpy(tmp_path):
+    proc = run_fresh(NUMPY_FREE, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fresh_interpreter_simulate_writes_in_process_bytes(tmp_path):
+    argv = ["simulate", "--protocol", "ising", "--n-steps", "2",
+            "--thetas", "0.5,1.5", "--initial-state", "bell"]
+    proc = run_fresh("import sys\nfrom spinsim.cli import main\n"
+                     f"sys.exit(main({argv + ['--out', 'fresh']!r}))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert spinsim.cli.main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    name = "ising_dynamics.csv"
+    assert ((tmp_path / "fresh" / name).read_bytes()
+            == (tmp_path / "in_process" / name).read_bytes())

@@ -4,15 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinsim.cli
 from conftest import FIG3
 from spinsim.circuits import EvolutionParams, circuit_unitary, compile_ising
-from spinsim.cli import build_circuit, load_config, main
+from spinsim.cli import ConfigError, RunConfig, build_circuit, load_config, main
 from spinsim.hamiltonians import (dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
 from spinsim.noise import NoiseParams, simulate_noisy
 from spinsim.tomography import process_tomography, state_fidelity
+from test_api import run_fresh
 from test_tomography import json_reference
 
 
@@ -471,3 +473,102 @@ def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):
         assert main(["simulate", "--protocol", protocol, "--thetas", "1.0",
                      "--no-noise", "--out", str(tmp_path)]) == 0
     assert calls == ["compile_ising", "compile_heisenberg"]
+
+
+# Wrappers installed on spinsim.cli before its first numeric command, as the
+# benchmark's tracer installs them in a fresh process. READ_FIRST reads each
+# original through spinsim.cli first, as the tracer does; otherwise the
+# wrapper is set before anything has bound the name.
+WRAP_BEFORE_FIRST_COMMAND = r"""
+import sys
+import spinsim.cli as cli
+from spinsim.cli import main
+
+assert "numpy" not in sys.modules
+names = ("simulate_noisy", "process_tomography", "chi_to_json")
+calls = dict.fromkeys(names, 0)
+
+def wrap(name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+if READ_FIRST:
+    originals = {name: getattr(cli, name) for name in names}
+else:
+    import spinsim.noise, spinsim.tomography
+    originals = {"simulate_noisy": spinsim.noise.simulate_noisy,
+                 "process_tomography": spinsim.tomography.process_tomography,
+                 "chi_to_json": spinsim.tomography.chi_to_json}
+for name in names:
+    setattr(cli, name, wrap(name, originals[name]))
+
+def run():
+    assert main(["simulate", "--protocol", "ising", "--thetas", "0.5,1.5",
+                 "--out", "sim"]) == 0
+    assert main(["tomography", "--protocol", "heisenberg", "--thetas", "0.5,1.5",
+                 "--out", "tomo"]) == 0
+
+run()
+# one noisy run per angle in simulate; 16 inputs and the report state per
+# angle in tomography
+expected = {"simulate_noisy": 2 + 2 * 17, "process_tomography": 2, "chi_to_json": 2}
+assert calls == expected, calls
+for name, fn in originals.items():
+    setattr(cli, name, fn)
+import spinsim.noise, spinsim.tomography
+assert cli.simulate_noisy is spinsim.noise.simulate_noisy
+assert cli.process_tomography is spinsim.tomography.process_tomography
+assert cli.chi_to_json is spinsim.tomography.chi_to_json
+run()
+assert calls == expected, calls
+"""
+
+
+@pytest.mark.parametrize("read_first", [True, False])
+def test_wrappers_installed_before_first_command(tmp_path, read_first):
+    """The tracer's order in a fresh interpreter, which an in-process test,
+    with the numeric names already bound, cannot reproduce."""
+    proc = run_fresh(f"READ_FIRST = {read_first}\n" + WRAP_BEFORE_FIRST_COMMAND,
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def numpy_norm_check(vec):
+    """The initial-state check as numpy's norm makes it: (error text, psi0)."""
+    psi = np.array(vec, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= 1e-6:
+        return f"initial state norm is {norm:.6g}, expected 1", None
+    return None, psi / norm
+
+
+@st.composite
+def amplitude_vectors(draw):
+    """Four amplitudes; often scaled to within a few ulps of norm 1 +- 1e-6."""
+    part = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                     st.floats(-2.0, 2.0, allow_subnormal=True))
+    vec = [complex(draw(part), draw(part)) for _ in range(4)]
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0 and draw(st.booleans()):
+        target = draw(st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, 1.0]))
+        steps = draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            target = math.nextafter(target, math.copysign(math.inf, steps))
+        vec = [a * (target / norm) for a in vec]
+    return vec
+
+
+@settings(max_examples=600)
+@given(amplitude_vectors())
+def test_state_check_matches_numpy_norm(vec):
+    error, psi = numpy_norm_check(vec)
+    state = [[a.real, a.imag] for a in vec]
+    if error is not None:
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(initial_state=state)
+        assert str(exc.value) == error
+    else:
+        assert RunConfig(initial_state=state).psi0().tobytes() == psi.tobytes()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsim.linalg import (ID2, SX, SY, SZ, expectation, herm_expm,
                             is_unitary, kron, partial_transpose)
@@ -22,6 +24,17 @@ class TestKron:
     def test_associative(self):
         a, b, c = SX, SY, SZ
         assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+
+    @given(st.data())
+    def test_same_bits_as_numpy_kron(self, data):
+        # signed zeros and subnormals included; products stay finite
+        parts = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310]),
+                          st.floats(-1e150, 1e150, allow_subnormal=True))
+        entries = st.builds(complex, parts, parts)
+        a, b = (data.draw(arrays(complex, (n, n), elements=entries))
+                for n in data.draw(st.tuples(st.sampled_from([2, 4]),
+                                             st.sampled_from([2, 4]))))
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 class TestHermExpm:
