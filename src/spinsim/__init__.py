@@ -19,12 +19,11 @@ _EXPORTS = {
     "hamiltonians": ("SpinModelSpec", "build_hamiltonian", "build_heisenberg",
                      "build_ising", "build_xy", "dominant_angular_frequency",
                      "exact_evolve", "oracle_hamiltonian"),
-    "linalg": ("expectation", "herm_expm", "kron", "partial_transpose"),
+    "linalg": ("herm_expm", "kron", "partial_transpose"),
     "noise": ("decoherence_kraus", "simulate_noisy", "zz_error_unitary"),
-    "tomography": ("TomographyRecord", "chi_from_json", "chi_of_unitary", "chi_to_json",
-                   "linear_inversion", "negativity", "process_fidelity",
-                   "process_tomography", "reconstruct_state", "state_fidelity",
-                   "synthesize_measurements"),
+    "tomography": ("TomographyRecord", "chi_of_unitary", "chi_to_json", "linear_inversion",
+                   "negativity", "process_fidelity", "process_tomography",
+                   "reconstruct_state", "state_fidelity", "synthesize_measurements"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -59,10 +59,8 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
         u[1, 2] = u[2, 1] = -1j * j_sign * s
     elif g.kind == "ROT":
         u = op_on_qubit(_rot_matrix(g.axis, g.angle), g.qubit)
-    elif g.kind == "WAIT":
+    else:  # WAIT; Gate rejects every other kind
         u = np.eye(4, dtype=complex)
-    else:
-        raise ValueError(f"unknown gate kind {g.kind!r}")
     u.flags.writeable = False
     return u
 

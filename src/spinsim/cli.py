@@ -106,6 +106,8 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
+        if not math.isfinite(self.b_over_j):
+            raise ConfigError("b_over_j must be finite")
         if not self.theta_grid:
             raise ConfigError("theta_grid must not be empty")
         if any(b <= a for a, b in zip(self.theta_grid, self.theta_grid[1:])):
@@ -158,11 +160,16 @@ class RunConfig:
 
 
 def _amplitude(a) -> complex:
+    """A number or an [re, im] pair; true and false are not numbers."""
     if isinstance(a, (list, tuple)):
         if len(a) != 2:
             raise ValueError("amplitude pairs must be [re, im]")
-        return complex(a[0], a[1])
-    return complex(a)
+    else:
+        a = (a,)
+    for x in a:
+        if isinstance(x, bool):
+            raise ValueError(f"{x!r} is not a number")
+    return complex(*a)
 
 
 # config name of each gate duration -> TimingParams field
@@ -190,11 +197,11 @@ def _noise_from_dict(obj) -> NoiseParams | None:
     if unknown:
         raise ConfigError(f"unknown gate_durations keys: {sorted(unknown)}")
     try:
-        timing = {_GATE_DURATION_FIELDS[k]: float(v) for k, v in durations.items()}
+        timing = {_GATE_DURATION_FIELDS[k]: _real(v) for k, v in durations.items()}
         if "theta_to_ns" in obj:
-            timing["theta_to_ns"] = float(obj["theta_to_ns"])
-        kwargs = {k: _array(obj[k], float) for k in ("t1_us", "t2_us") if k in obj}
-        kwargs.update({k: float(obj[k]) for k in _NOISE_FLOATS if k in obj})
+            timing["theta_to_ns"] = _real(obj["theta_to_ns"])
+        kwargs = {k: _array(obj[k], _real) for k in ("t1_us", "t2_us") if k in obj}
+        kwargs.update({k: _real(obj[k]) for k in _NOISE_FLOATS if k in obj})
         return NoiseParams(timing=TimingParams(**timing), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise config: {exc}") from exc
@@ -205,6 +212,13 @@ def _integral(v) -> int:
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _real(v) -> float:
+    """A number given as 2.5, 2 or "2.5"; float() alone would read true as 1.0."""
+    if isinstance(v, bool):
+        raise ValueError(f"{v!r} is not a number")
+    return float(v)
 
 
 def _array(v, convert) -> tuple:
@@ -218,10 +232,10 @@ def _array(v, convert) -> tuple:
 # parsed by RunConfig.psi0 and _noise_from_dict
 _CONVERSIONS = {
     "protocol": str,
-    "theta_grid": lambda v: _array(v, float),
+    "theta_grid": lambda v: _array(v, _real),
     "n_steps": _integral,
     "n_list": lambda v: _array(v, _integral),
-    "b_over_j": float,
+    "b_over_j": _real,
     "j_sign": _integral,
 }
 _CONFIG_KEYS = {*_CONVERSIONS, "initial_state", "noise"}
@@ -247,8 +261,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 kwargs[key] = convert(data[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key}: {exc}") from exc
-    if not math.isfinite(kwargs.get("b_over_j", 0.0)):
-        raise ConfigError("b_over_j must be finite")
     if "initial_state" in data:
         kwargs["initial_state"] = data["initial_state"]
     if "noise" in data:

@@ -137,9 +137,7 @@ def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict) -> float:
         if gate.axis == "z":
             return t.rz_flux_ns(gate, metadata) + t.post_flux_wait_ns
         return t.single_qubit_ns
-    if gate.kind == "WAIT":
-        return gate.duration_ns
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return gate.duration_ns  # WAIT; Gate rejects every other kind
 
 
 def predicted_fidelity(n_steps: int, f_p_xy: float) -> tuple[float, float]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -44,11 +42,6 @@ def max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= tol
-
-
 def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
@@ -63,33 +56,6 @@ def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"input is not Hermitian: max asymmetry {asym:.3e}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def expectation(state: np.ndarray, obs: np.ndarray) -> float:
-    """<obs> for a state vector or density matrix.
-
-    The imaginary residue must be below 1e-10 (guaranteed for Hermitian
-    observables on valid states); it is checked and discarded.
-    """
-    state = np.asarray(state, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    if state.ndim == 1:
-        if obs.shape != (state.size, state.size):
-            raise ValueError(
-                f"dimension mismatch: state dim {state.size}, observable {obs.shape}"
-            )
-        val = complex(np.vdot(state, obs @ state))
-    elif state.ndim == 2:
-        if obs.shape != state.shape:
-            raise ValueError(
-                f"dimension mismatch: state {state.shape}, observable {obs.shape}"
-            )
-        val = complex(np.trace(state @ obs))
-    else:
-        raise ValueError("state must be a vector or a density matrix")
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:

@@ -17,23 +17,19 @@ copied from it.  Non-finite entries are rejected, because ``NaN`` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .linalg import (ID2, SX, SY, SZ, check_density_matrix, kron,
-                     partial_transpose)
+from .linalg import PAULIS_1Q, SY, check_density_matrix, kron, partial_transpose
 
-PAULI_1Q = {"I": ID2, "X": SX, "Y": SY, "Z": SZ}
 PAULI_LABELS_2Q = tuple(a + b for a in "IXYZ" for b in "IXYZ")
-PAULI_MATRICES_2Q = tuple(kron(PAULI_1Q[l[0]], PAULI_1Q[l[1]]) for l in PAULI_LABELS_2Q)
+PAULI_MATRICES_2Q = tuple(kron(PAULIS_1Q[a], PAULIS_1Q[b]) for a in "ixyz" for b in "ixyz")
 
 # Chi basis: Y entries mean Ytilde = -i*sigma_y.
-_CHI_1Q = {"I": ID2, "X": SX, "Y": -1j * SY, "Z": SZ}
+_CHI_1Q = {**PAULIS_1Q, "y": -1j * SY}
 CHI_BASIS_LABELS = PAULI_LABELS_2Q
-CHI_BASIS = tuple(kron(_CHI_1Q[l[0]], _CHI_1Q[l[1]]) for l in CHI_BASIS_LABELS)
+CHI_BASIS = tuple(kron(_CHI_1Q[a], _CHI_1Q[b]) for a in "ixyz" for b in "ixyz")
 _CHI_VEC = np.column_stack([b.reshape(-1) for b in CHI_BASIS])
 
 # Informationally complete product input states for process tomography:
@@ -48,6 +44,8 @@ PROCESS_INPUT_STATES = tuple(
     np.outer(np.kron(a, b), np.kron(a, b).conj())
     for a in _KETS_1Q for b in _KETS_1Q
 )
+_INPUT_INVERSE = np.linalg.inv(
+    np.column_stack([r.reshape(-1) for r in PROCESS_INPUT_STATES]))
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,6 @@ def reconstruct_state(rec: TomographyRecord) -> np.ndarray:
     return (v * lam) @ v.conj().T
 
 
-@cache
-def _input_inverse() -> np.ndarray:
-    ins = np.column_stack([r.reshape(-1) for r in PROCESS_INPUT_STATES])
-    if np.linalg.cond(ins) > 1e8:
-        raise RuntimeError("tomography input states are not informationally complete")
-    return np.linalg.inv(ins)
-
-
 def _chi_from_transfer(transfer: np.ndarray) -> np.ndarray:
     """Unnormalised chi of a row-major superoperator, in closed form.
 
@@ -142,7 +132,7 @@ def process_tomography(channel) -> np.ndarray:
         np.asarray(channel(r), dtype=complex).reshape(-1)
         for r in PROCESS_INPUT_STATES
     ])
-    chi = _chi_from_transfer(outs @ _input_inverse())
+    chi = _chi_from_transfer(outs @ _INPUT_INVERSE)
     chi = (chi + chi.conj().T) / 2.0
     tr = np.trace(chi).real
     if abs(tr) < 1e-12:
@@ -244,10 +234,3 @@ def chi_to_json(chi: np.ndarray) -> str:
     if not np.isfinite(chi).all():
         raise ValueError("chi has non-finite entries")
     return _CHI_JSON % (*_entry_reprs(chi.real, False), *_entry_reprs(chi.imag, True))
-
-
-def chi_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    if tuple(doc["basis"]) != CHI_BASIS_LABELS:
-        raise ValueError("unexpected chi basis ordering")
-    return np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)

@@ -42,6 +42,14 @@ def random_density(rng, dim=4, rank=None):
     return rho / np.trace(rho).real
 
 
+def expval(state, obs):
+    """Real part of <obs> for a state vector or a density matrix."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        return np.vdot(state, obs @ state).real
+    return np.trace(state @ obs).real
+
+
 def random_state(rng, dim=4):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)

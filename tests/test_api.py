@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,25 @@ def test_exports_are_their_home_module_objects():
     for name in spinsim.__all__:
         home = importlib.import_module(f"spinsim.{spinsim._HOME[name]}")
         assert getattr(spinsim, name) is getattr(home, name), name
+
+
+def test_every_export_is_used_outside_its_definition():
+    """A public name that no module and no acceptance test uses is test-only API.
+
+    A use is a NAME token in src/spinsim (the export table in ``__init__`` aside)
+    or in tests/test_acceptance.py that is not the name of a def or class.
+    """
+    files = [p for p in (SRC / "spinsim").glob("*.py") if p.name != "__init__.py"]
+    files.append(Path(__file__).with_name("test_acceptance.py"))
+    used = set()
+    for path in files:
+        with tokenize.open(path) as f:
+            prev = ""
+            for tok in tokenize.generate_tokens(f.readline):
+                if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                    used.add(tok.string)
+                prev = tok.string
+    assert sorted(set(spinsim.__all__) - used) == []
 
 
 def test_star_import():

@@ -140,6 +140,11 @@ class TestConfigErrors:
                            noise="off")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("b_over_j", [math.nan, math.inf, -math.inf])
+    def test_run_config_rejects_non_finite_b_over_j(self, b_over_j):
+        with pytest.raises(ConfigError, match="b_over_j must be finite"):
+            RunConfig(b_over_j=b_over_j)
+
 
 class TestTrotterScan:
     def test_columns_and_predictions(self, tmp_path):
@@ -385,6 +390,18 @@ BAD_CIRCUITS = {
                  id="t1_us-3-entries"),
     pytest.param("simulate", {"noise": {"jz_tilde_angle_deg": math.inf}}, [],
                  id="jz-tilde-angle-inf"),
+    # JSON true and false are not numbers, though Python reads them as 1 and 0
+    pytest.param("simulate", {"b_over_j": True}, [], id="b_over_j-bool"),
+    pytest.param("simulate", {"theta_grid": [True]}, [], id="theta_grid-bool"),
+    pytest.param("simulate", {"initial_state": [True, 0, 0, 0]}, [], id="amplitude-bool"),
+    pytest.param("simulate", {"initial_state": [[True, 0], 0, 0, 0]}, [],
+                 id="amplitude-pair-bool"),
+    # with the default T2, a T1 of 1 us would fail as T2 > 2 T1
+    pytest.param("simulate", {"noise": {"t1_us": [True, 6.7], "t2_us": [1.0, 4.9]}}, [],
+                 id="t1_us-bool"),
+    pytest.param("simulate", {"noise": {"theta_to_ns": True}}, [], id="theta_to_ns-bool"),
+    pytest.param("schedule", {"noise": {"gate_durations": {"single_qubit_ns": False}}}, [],
+                 id="gate-durations-bool"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
     """``config`` is dumped as JSON, written raw if bytes, or not written if None."""
@@ -443,6 +460,12 @@ def test_integral_config_values_accepted():
     cfg = load_config(None, {"n_steps": 3.0, "n_list": [1, 2.0, "3"], "j_sign": "1"})
     assert (cfg.n_steps, cfg.n_list, cfg.j_sign) == (3, (1, 2, 3), 1)
     assert all(type(v) is int for v in (cfg.n_steps, *cfg.n_list, cfg.j_sign))
+
+
+def test_real_config_values_accepted():
+    cfg = load_config(None, {"b_over_j": -2, "theta_grid": [0, 0.5, "1.5"]})
+    assert (cfg.b_over_j, cfg.theta_grid) == (-2.0, (0.0, 0.5, 1.5))
+    assert all(type(v) is float for v in (cfg.b_over_j, *cfg.theta_grid))
 
 
 def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):

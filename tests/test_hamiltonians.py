@@ -6,9 +6,9 @@ from spinsim.hamiltonians import (VALID_KINDS, SpinModelSpec, build_hamiltonian,
                                   build_heisenberg, build_ising, build_xy,
                                   dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
-from spinsim.linalg import ID2, SX, SY, SZ, expectation, kron
+from spinsim.linalg import ID2, SX, SY, SZ, kron
 
-from conftest import FIG2, FIG3
+from conftest import FIG2, FIG3, expval
 
 
 def test_spec_validation():
@@ -122,15 +122,15 @@ class TestExactEvolve:
         # at phase angle pi the spins end along +y and +z
         h = build_xy(SpinModelSpec.xy(j_sign=-1))
         psi = exact_evolve(h, np.pi / 2, FIG2)
-        assert expectation(psi, kron(SY, ID2)) == pytest.approx(1.0, abs=1e-9)
-        assert expectation(psi, kron(ID2, SZ)) == pytest.approx(1.0, abs=1e-9)
-        assert expectation(psi, kron(SX, ID2)) == pytest.approx(0.0, abs=1e-9)
+        assert expval(psi, kron(SY, ID2)) == pytest.approx(1.0, abs=1e-9)
+        assert expval(psi, kron(ID2, SZ)) == pytest.approx(1.0, abs=1e-9)
+        assert expval(psi, kron(SX, ID2)) == pytest.approx(0.0, abs=1e-9)
 
     def test_transverse_ising_correlator_frequency(self):
         h = build_ising(SpinModelSpec.ising(jx=1.0, b=3.0, j_sign=1))
         xx = kron(SX, SX)
         taus = np.linspace(0.0, 3 * np.pi / 2, 256)
-        signal = [expectation(exact_evolve(h, t, FIG3), xx) for t in taus]
+        signal = [expval(exact_evolve(h, t, FIG3), xx) for t in taus]
         omega = dominant_angular_frequency(signal, taus[1] - taus[0])
         target = 2 * np.sqrt(10)
         assert abs(omega - target) / target < 0.01
@@ -139,22 +139,22 @@ class TestExactEvolve:
         for spec in (SpinModelSpec.xy(), SpinModelSpec.heisenberg(1, 1, 1),
                      SpinModelSpec.ising(jx=1.0, b=-3.0)):
             h = build_hamiltonian(spec)
-            e0 = expectation(FIG3, h)
+            e0 = expval(FIG3, h)
             for t in np.linspace(0.0, 4.0, 17):
-                e = expectation(exact_evolve(h, t, FIG3), h)
+                e = expval(exact_evolve(h, t, FIG3), h)
                 assert abs(e - e0) < 1e-9
 
     def test_isotropic_preserves_spin_angle(self):
         # <vec(s1).vec(s2)> is conserved by the isotropic interaction
         h = build_heisenberg(SpinModelSpec.heisenberg(1, 1, 1, j_sign=-1))
         dot = kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ)
-        d0 = expectation(FIG2, dot)
+        d0 = expval(FIG2, dot)
         for t in np.linspace(0.0, 3.0, 13):
-            assert abs(expectation(exact_evolve(h, t, FIG2), dot) - d0) < 1e-9
+            assert abs(expval(exact_evolve(h, t, FIG2), dot) - d0) < 1e-9
 
     def test_xy_preserves_total_magnetization(self):
         h = build_xy(SpinModelSpec.xy(j_sign=-1))
         ztot = kron(SZ, ID2) + kron(ID2, SZ)
-        m0 = expectation(FIG2, ztot)
+        m0 = expval(FIG2, ztot)
         for t in np.linspace(0.0, 3.0, 13):
-            assert abs(expectation(exact_evolve(h, t, FIG2), ztot) - m0) < 1e-9
+            assert abs(expval(exact_evolve(h, t, FIG2), ztot) - m0) < 1e-9
