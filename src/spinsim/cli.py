@@ -169,7 +169,10 @@ def _amplitude(a) -> complex:
     for x in a:
         if isinstance(x, bool):
             raise ValueError(f"{x!r} is not a number")
-    return complex(*a)
+    try:
+        return complex(*a)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(str(exc)) from exc
 
 
 # config name of each gate duration -> TimingParams field
@@ -218,7 +221,10 @@ def _real(v) -> float:
     """A number given as 2.5, 2 or "2.5"; float() alone would read true as 1.0."""
     if isinstance(v, bool):
         raise ValueError(f"{v!r} is not a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(str(exc)) from exc
 
 
 def _array(v, convert) -> tuple:
@@ -280,10 +286,10 @@ def build_circuit(cfg: RunConfig, theta: float) -> Circuit:
 
 
 def _compile(compiler, params: EvolutionParams, j_sign: int) -> Circuit:
-    """Run a protocol compiler; a gate angle that overflows is a config error."""
+    """Run a protocol compiler; an overflowing angle or step count is a config error."""
     try:
         return compiler(params, j_sign=j_sign)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"cannot compile theta={params.theta!r} "
                           f"n={params.n_steps}: {exc}") from exc
 

@@ -17,14 +17,18 @@ through ``spinsim.device``, whose ``TimingParams`` the pulse scheduler reads
 too.  ``NoiseParams`` is defined there and re-exported here.
 
 Engine: each gate together with its errors is one 16x16 Liouville
-superoperator S = sum_k K_k (x) conj(K_k) acting on the row-major
-vectorisation vec(rho) = rho.reshape(-1), since vec(A rho B) =
-(A (x) B^T) vec(rho) (Wood, Biamonte & Cory, arXiv:1111.6950).  The Kraus
-operators K_k are those of the gate unitary composed with the exchange
-gate's residual ZZ, or the Q2 z-phase gate's fractional ZZ and crosstalk
-rotation, then the depolarizing kick, then T1/T2 decoherence for the gate's
-duration.  Superoperators are built once per distinct (gate, coupling sign,
-z fraction, duration, parameters) and kept in a bounded cache.
+superoperator acting on the row-major vectorisation vec(rho) =
+rho.reshape(-1), since vec(A rho B) = (A (x) B^T) vec(rho) (Wood, Biamonte &
+Cory, arXiv:1111.6950).  It is built in closed form as S = L (u (x) conj(u)).
+The unitary u is the gate's own matrix times its diagonal error phases: the
+residual ZZ after an exchange (XY) gate, or the fractional ZZ and crosstalk
+rotation on a Q2 z-phase gate.  The local channel L acts on each qubit
+alone, so it is the tensor product of two one-qubit 4x4 Liouville matrices,
+each the T1/T2 decay [[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0,
+0, 1 - gamma]] with c = sqrt(1 - lambda) * sqrt(1 - gamma); on the qubit a
+microwave (x/y) rotation drives, the decay follows the depolarizing kick.
+Superoperators are built once per distinct (gate, coupling sign, z
+fraction, duration, parameters) and kept in a bounded cache.
 ``simulate_noisy`` applies them to vec(rho0) with ``circuits.propagate``, the
 engine the ideal unitaries use too, which describes how a repeated Trotter
 step is applied and what it costs.
@@ -41,21 +45,15 @@ from .circuits import Circuit, Gate, gate_unitary, propagate
 # the device names stay importable from here
 from .device import (THETA_TO_NS, NoiseParams, TimingParams, _step_z_fraction,
                      gate_duration_ns, predicted_fidelity)
-from .linalg import ID2, SX, SY, SZ, check_density_matrix, op_on_qubit
+from .linalg import ID2, SX, SY, SZ, check_density_matrix
 
 
-def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
-                      t2_us: float = math.inf) -> list[np.ndarray]:
-    """Single-qubit relaxation-plus-dephasing channel for one gate duration.
+def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
+    """(gamma, lambda) of one qubit's T1/T2 decay over one gate duration.
 
     Amplitude damping uses gamma = 1 - exp(-t/T1); the pure-dephasing rate is
     1/T_phi = 1/T2 - 1/(2*T1) and the phase-damping parameter is
     lambda = 1 - exp(-2*t/T_phi), so off-diagonals decay as exp(-t/T2).
-
-    At most three operators, in this order: the no-jump operator
-    diag(1, sqrt(1 - lambda) * sqrt(1 - gamma)); the decay jump
-    [[0, sqrt(gamma)], [0, 0]] when gamma > 0; and the dephasing jump
-    diag(0, sqrt(lambda) * sqrt(1 - gamma)) when that entry is nonzero.
     """
     if not (duration_ns >= 0.0 and t1_us > 0.0 and t2_us > 0.0):  # NaN fails
         raise ValueError("need duration >= 0 and T1, T2 > 0")
@@ -71,6 +69,20 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
     # an overflowing rate or an infinite duration gives NaN here
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"gamma = {gamma} and lambda = {lam} must be in [0, 1]")
+    return gamma, lam
+
+
+def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
+                      t2_us: float = math.inf) -> list[np.ndarray]:
+    """Single-qubit relaxation-plus-dephasing channel for one gate duration.
+
+    At most three operators, in this order: the no-jump operator
+    diag(1, sqrt(1 - lambda) * sqrt(1 - gamma)); the decay jump
+    [[0, sqrt(gamma)], [0, 0]] when gamma > 0; and the dephasing jump
+    diag(0, sqrt(lambda) * sqrt(1 - gamma)) when that entry is nonzero.
+    ``_decay_parameters`` gives gamma and lambda.
+    """
+    gamma, lam = _decay_parameters(duration_ns, t1_us, t2_us)
     survive = math.sqrt(1.0 - gamma)
     dephase = math.sqrt(lam) * survive
     kraus = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam) * survive]],
@@ -80,6 +92,14 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
     if dephase > 0.0:
         kraus.append(np.array([[0.0, 0.0], [0.0, dephase]], dtype=complex))
     return kraus
+
+
+def _decay_liouville(duration_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
+    """4x4 Liouville matrix of ``decoherence_kraus``'s channel, in closed form."""
+    gamma, lam = _decay_parameters(duration_ns, t1_us, t2_us)
+    c = math.sqrt(1.0 - lam) * math.sqrt(1.0 - gamma)
+    return np.array([1.0, 0.0, 0.0, gamma, 0.0, c, 0.0, 0.0,
+                     0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 1.0 - gamma]).reshape(4, 4)
 
 
 def depolarizing_kraus(p: float) -> list[np.ndarray]:
@@ -95,17 +115,24 @@ def depolarizing_kraus(p: float) -> list[np.ndarray]:
     ]
 
 
+_ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # eigenvalues of Z(x)Z
+
+
+def _zz_phases(angle_deg: float) -> np.ndarray:
+    """The diagonal of ``zz_error_unitary(angle_deg)``."""
+    return np.exp(-1j * math.radians(angle_deg) * _ZZ_SIGNS)
+
+
 def zz_error_unitary(angle_deg: float) -> np.ndarray:
     """exp(-i * (angle in radians) * Z(x)Z)."""
-    a = math.radians(angle_deg)
-    phases = np.exp(-1j * a * np.array([1.0, -1.0, -1.0, 1.0]))
-    return np.diag(phases)
+    return np.diag(_zz_phases(angle_deg))
 
 
-def _superop(kraus) -> np.ndarray:
-    # row-major vec: vec(K rho K^dag) = (K (x) conj(K)) vec(rho), summed over K
-    k = np.asarray(kraus)
-    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(16, 16)
+# np.multiply.outer(A, B) of two one-qubit Liouville matrices is indexed
+# (a1 b1 c1 d1 a2 b2 c2 d2); the two-qubit channel reads it in the order
+# S[(a1 a2 b1 b2), (c1 c2 d1 d2)] = A[(a1 b1), (c1 d1)] * B[(a2 b2), (c2 d2)]
+_LOCAL_ORDER = (np.arange(256).reshape((2,) * 8)
+                .transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16))
 
 
 @lru_cache(maxsize=256)
@@ -114,20 +141,20 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     """Liouville matrix of one gate followed by its errors (read-only)."""
     u = gate_unitary(gate, j_sign)
     if gate.kind == "XY":
-        u = zz_error_unitary(params.jz_tilde_angle_deg) @ u
-    if gate.kind == "ROT" and gate.axis == "z" and gate.qubit == 1:
-        a = math.radians(params.crosstalk_phase_deg * z_frac)
-        u = (gate_unitary(Gate.rot("z", a, 1))
-             @ zz_error_unitary(params.jz_tilde_angle_deg * z_frac) @ u)
-    s = _superop([u])
+        u = _zz_phases(params.jz_tilde_angle_deg)[:, None] * u
+    elif gate.kind == "ROT" and gate.axis == "z" and gate.qubit == 1:
+        crosstalk = Gate.rot("z", math.radians(params.crosstalk_phase_deg * z_frac), 1)
+        u = (gate_unitary(crosstalk).diagonal()
+             * _zz_phases(params.jz_tilde_angle_deg * z_frac))[:, None] * u
+    a = _decay_liouville(duration_ns, params.t1_us[0], params.t2_us[0])
+    b = _decay_liouville(duration_ns, params.t1_us[1], params.t2_us[1])
     if gate.kind == "ROT" and gate.axis in ("x", "y"):
-        p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
-        s = _superop([op_on_qubit(k, gate.qubit)
-                      for k in depolarizing_kraus(p_depol)]) @ s
-    ka = decoherence_kraus(duration_ns, params.t1_us[0], params.t2_us[0])
-    kb = decoherence_kraus(duration_ns, params.t1_us[1], params.t2_us[1])
-    # Kraus operators kron(a, b) of the two independent qubit channels
-    s = _superop(np.einsum("mac,nbd->mnabcd", ka, kb).reshape(-1, 4, 4)) @ s
+        k = np.asarray(depolarizing_kraus(2.0 * (1.0 - params.single_qubit_fidelity)))
+        depol = np.einsum("kac,kbd->abcd", k, k.conj()).reshape(4, 4)
+        a, b = (a @ depol, b) if gate.qubit == 0 else (a, b @ depol)
+    channel = np.multiply.outer(a, b).take(_LOCAL_ORDER)
+    # the gate with its phase errors, u (x) conj(u), then the local channel
+    s = channel @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
     s.flags.writeable = False
     return s
 

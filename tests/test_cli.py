@@ -26,6 +26,39 @@ def read_csv(path: Path):
     return header, rows
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def output_numbers(path: Path):
+    """(labels, values) of a CSV or chi JSON output, the values as floats."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        return doc["basis"], np.array([doc["re"], doc["im"]], dtype=float)
+    header, *rows = text.splitlines()
+    return header, np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("simulate_ising_n3", ["simulate", "--protocol", "ising", "--n-steps", "3"]),
+    ("tomography_heisenberg_theta0.7",
+     ["tomography", "--protocol", "heisenberg", "--thetas", "0.7"]),
+])
+def test_noisy_outputs_match_golden(tmp_path, golden, argv):
+    """The noisy engine's outputs against those of the Kraus-sum engine it replaced.
+
+    The CSVs print 12 significant digits, so values are compared, not bytes.
+    """
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    expected = sorted((GOLDEN / golden).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in expected]
+    for ref in expected:
+        labels, values = output_numbers(tmp_path / ref.name)
+        ref_labels, ref_values = output_numbers(ref)
+        assert labels == ref_labels and values.shape == ref_values.shape
+        assert np.max(np.abs(values - ref_values)) <= 1e-11, ref.name
+
+
 def write_config(tmp_path: Path, **kwargs) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))
@@ -282,6 +315,8 @@ def test_flag_overrides_beat_config(tmp_path):
 # --circuit-in files written by test_input_errors_exit_2
 FIELD_CIRCUIT = ("# n_qubits=2 protocol=ising b_over_j={}\n"
                  "ROT axis=z angle=0.5 q=0\nROT axis=z angle=0.5 q=1\nXY theta=1.0\n")
+HUGE = 10 ** 400  # a JSON integer that no float can hold
+
 BAD_CIRCUITS = {
     "bad.txt": "# n_qubits=2\nXY foo=1\n",
     "nan-theta.txt": "# n_qubits=2\nXY theta=nan\n",
@@ -402,6 +437,17 @@ BAD_CIRCUITS = {
     pytest.param("simulate", {"noise": {"theta_to_ns": True}}, [], id="theta_to_ns-bool"),
     pytest.param("schedule", {"noise": {"gate_durations": {"single_qubit_ns": False}}}, [],
                  id="gate-durations-bool"),
+    # JSON integers beyond the float range; a large but representable n_steps
+    # would really be compiled, so only unrepresentable ones are tried
+    pytest.param("simulate", {"b_over_j": HUGE}, [], id="b_over_j-huge-int"),
+    pytest.param("simulate", {"theta_grid": [HUGE]}, [], id="theta_grid-huge-int"),
+    pytest.param("simulate", {"initial_state": [HUGE, 0, 0, 0]}, [],
+                 id="amplitude-huge-int"),
+    pytest.param("simulate", {"noise": {"t1_us": [HUGE, 7]}}, [], id="t1_us-huge-int"),
+    pytest.param("schedule", {"protocol": "ising", "n_steps": HUGE}, ["--thetas", "1.0"],
+                 id="n_steps-huge-int"),
+    pytest.param("trotter-scan", {}, ["--n-list", str(HUGE), "--thetas", "1.0"],
+                 id="n-list-flag-huge-int"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
     """``config`` is dumped as JSON, written raw if bytes, or not written if None."""

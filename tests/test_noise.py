@@ -127,6 +127,13 @@ def test_decoherence_kraus_matches_composition_bit_for_bit(args):
         assert k.dtype == r.dtype and k.tobytes() == r.tobytes()
 
 
+@settings(deadline=None, max_examples=500)
+@given(args=decoherence_args())
+def test_decay_liouville_matches_kraus_sum(args):
+    ref = sum(kron(k, k.conj()) for k in decoherence_kraus(*args))
+    assert np.max(np.abs(spinsim.noise._decay_liouville(*args) - ref)) <= 1e-15
+
+
 @settings(deadline=None)
 @given(args=decoherence_args(), seed=st.integers(0, 2 ** 32 - 1))
 def test_decoherence_channel_action_on_general_state(args, seed):
@@ -385,6 +392,29 @@ def matvec_reference(circuit, params, rho0):
     return (rho + rho.conj().T) / 2.0
 
 
+def kraus_superop_reference(gate, j_sign, z_frac, duration_ns, params):
+    """The Kraus-einsum build that the closed-form ``_gate_superop`` replaced."""
+    def superop(kraus):
+        # row-major vec: vec(K rho K^dag) = (K (x) conj(K)) vec(rho), summed over K
+        k = np.asarray(kraus)
+        return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(16, 16)
+
+    u = gate_unitary(gate, j_sign)
+    if gate.kind == "XY":
+        u = zz_error_unitary(params.jz_tilde_angle_deg) @ u
+    if gate.kind == "ROT" and gate.axis == "z" and gate.qubit == 1:
+        a = math.radians(params.crosstalk_phase_deg * z_frac)
+        u = (gate_unitary(Gate.rot("z", a, 1))
+             @ zz_error_unitary(params.jz_tilde_angle_deg * z_frac) @ u)
+    s = superop([u])
+    if gate.kind == "ROT" and gate.axis in ("x", "y"):
+        p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
+        s = superop([op_on_qubit(k, gate.qubit) for k in depolarizing_kraus(p_depol)]) @ s
+    ka = decoherence_kraus(duration_ns, params.t1_us[0], params.t2_us[0])
+    kb = decoherence_kraus(duration_ns, params.t1_us[1], params.t2_us[1])
+    return superop(np.einsum("mac,nbd->mnabcd", ka, kb).reshape(-1, 4, 4)) @ s
+
+
 def assert_cptp_output(rho):
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.max(np.abs(rho - rho.conj().T)) == 0.0
@@ -405,6 +435,24 @@ def noise_params(draw):
     kw["crosstalk_phase_deg"] = draw(st.sampled_from((0.0, -4.6)) | st.floats(-10.0, 10.0))
     kw["single_qubit_fidelity"] = draw(st.sampled_from((1.0, 0.997)) | st.floats(0.5, 1.0))
     return NoiseParams(**kw)
+
+
+angles = st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi)
+single_gates = (st.builds(Gate.xy, angles)
+                | st.builds(Gate.rot, st.sampled_from("xyz"),
+                            angles | angles.map(lambda a: -a), st.sampled_from((0, 1)))
+                | st.builds(Gate.wait, st.floats(min_value=0.0, max_value=1e4)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(gate=single_gates, j_sign=st.sampled_from((-1, 1)),
+       z_frac=st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1e3),
+       duration=st.sampled_from((0.0, 1e9)) | st.floats(min_value=0.0, max_value=1e6),
+       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params())
+def test_gate_superop_matches_kraus_einsum_build(gate, j_sign, z_frac, duration, params):
+    s = spinsim.noise._gate_superop(gate, j_sign, z_frac, duration, params)
+    ref = kraus_superop_reference(gate, j_sign, z_frac, duration, params)
+    assert np.max(np.abs(s - ref)) <= 1e-15
 
 
 @settings(deadline=None)
