@@ -19,11 +19,14 @@ Conventions, pinned by the tests:
 
 Propagation cost: ``propagate`` is the one engine for both the ideal 4x4
 unitaries (``circuit_unitary``) and the noisy 16x16 superoperators
-(``noise.simulate_noisy``).  When ``ir.repeated_step`` finds a circuit whose
-gates are exactly ``n_steps`` copies of one step, as ``compile_ising`` builds
-them, ``propagate`` multiplies one step's gate matrices into a product and
-raises it to the power n by repeated squaring, so a circuit costs one step
-plus O(log n) matrix products; any other circuit applies its gates' matrices
+(``noise.simulate_noisy``).  It resolves a circuit into the matrices it
+applies (``resolve``), then applies them to the state in order (``apply``);
+``simulate_noisy`` keeps the last circuit's resolved matrices for its next
+call.  When ``ir.repeated_step`` finds a circuit whose gates are exactly
+``n_steps`` copies of one step, as ``compile_ising`` builds them, resolving
+multiplies one step's gate matrices into a product and raises it to the
+power n by repeated squaring, so a circuit costs one step plus O(log n)
+matrix products; any other circuit resolves to its gates' matrices, applied
 to the state one by one.  ``gate_unitary`` is cached and returns read-only
 arrays.
 """
@@ -65,23 +68,38 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
     return u
 
 
+def resolve(c: Circuit, matrix_of) -> list[np.ndarray]:
+    """The matrices ``propagate`` applies to a state, first one first.
+
+    When ``repeated_step`` finds n > 1 copies of one step, the step's matrices
+    ``matrix_of(gate)`` are multiplied into one product, starting from the
+    identity, and the one matrix is that product raised to the power n by
+    repeated squaring.  Otherwise it is each gate's matrix in turn.
+    """
+    step, n = repeated_step(c)
+    matrices = [matrix_of(g) for g in step]
+    if n == 1:
+        return matrices
+    prod = np.eye(len(matrices[0]), dtype=complex)
+    for m in matrices:
+        prod = m @ prod
+    return [np.linalg.matrix_power(prod, n)]
+
+
+def apply(matrices: list[np.ndarray], state: np.ndarray) -> np.ndarray:
+    """Apply ``resolve``'s matrices to ``state`` in order."""
+    for m in matrices:
+        state = m @ state
+    return state
+
+
 def propagate(c: Circuit, matrix_of, state: np.ndarray) -> np.ndarray:
     """Apply each gate's matrix ``matrix_of(gate)`` to ``state``, first gate first.
 
-    When ``repeated_step`` finds n > 1 copies of one step, the step's matrices
-    are multiplied into one product, starting from the identity; the product
-    is raised to the power n by repeated squaring and applied once.  Otherwise
-    each gate's matrix is applied to the state in turn.
+    Resolving and applying are two steps, ``resolve`` then ``apply``, so a
+    caller that runs one circuit on many states can resolve it once.
     """
-    step, n = repeated_step(c)
-    if n == 1:
-        for g in step:
-            state = matrix_of(g) @ state
-        return state
-    prod = np.eye(len(state), dtype=complex)
-    for g in step:
-        prod = matrix_of(g) @ prod
-    return np.linalg.matrix_power(prod, n) @ state
+    return apply(resolve(c, matrix_of), state)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

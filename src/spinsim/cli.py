@@ -290,8 +290,9 @@ def _compile(compiler, params: EvolutionParams, j_sign: int) -> Circuit:
     try:
         return compiler(params, j_sign=j_sign)
     except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"cannot compile theta={params.theta!r} "
-                          f"n={params.n_steps}: {exc}") from exc
+        n = str(params.n_steps)
+        n = n if len(n) <= 20 else f"<{len(n)} digits>"
+        raise ConfigError(f"cannot compile theta={params.theta!r} n={n}: {exc}") from exc
 
 
 def _check_finite(rows) -> None:

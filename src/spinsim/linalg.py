@@ -8,6 +8,8 @@ and sigma_z |up> = +|up>.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -71,17 +73,35 @@ def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity (1e-10), unit trace (1e-10) and positivity (-1e-8)."""
+    """Validate Hermiticity (1e-10), unit trace (1e-10) and positivity (-1e-8).
+
+    A NaN or infinite entry fails the Hermiticity check.  The verdict depends
+    on the entries alone, so entries that passed once pass again without the
+    eigenvalue solve: process tomography checks the same 16 inputs for every
+    circuit.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
-    asym = max_asymmetry(rho)
-    if asym > 1e-10:
-        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -1e-8:
-        raise ValueError(f"{name} has negative eigenvalue {w.min():.3e}")
+    _check_entries(rho.tobytes(), len(rho), name)
     return rho
+
+
+@lru_cache(maxsize=64)
+def _check_entries(data: bytes, n: int, name: str) -> None:
+    """The checks of ``check_density_matrix`` on the n x n matrix in ``data``.
+
+    Only a pass is cached; a failure raises again on every call.
+    """
+    rho = np.frombuffer(data, dtype=complex).reshape(n, n)
+    adj = rho.conj().T
+    with np.errstate(invalid="ignore"):  # an infinite diagonal entry gives NaN
+        asym = float(np.abs(rho - adj).max())
+    if not asym <= 1e-10:  # written so that NaN fails
+        raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
+    tr = complex(rho.trace())
+    if not abs(tr - 1.0) <= 1e-10:
+        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
+    w_min = np.linalg.eigvalsh((rho + adj) / 2)[0]  # eigenvalues ascend
+    if not w_min >= -1e-8:
+        raise ValueError(f"{name} has negative eigenvalue {w_min:.3e}")

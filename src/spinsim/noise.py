@@ -29,9 +29,14 @@ each the T1/T2 decay [[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0,
 microwave (x/y) rotation drives, the decay follows the depolarizing kick.
 Superoperators are built once per distinct (gate, coupling sign, z
 fraction, duration, parameters) and kept in a bounded cache.
-``simulate_noisy`` applies them to vec(rho0) with ``circuits.propagate``, the
-engine the ideal unitaries use too, which describes how a repeated Trotter
-step is applied and what it costs.
+``simulate_noisy`` resolves the circuit into the superoperators it applies
+with ``circuits.resolve`` and applies them to vec(rho0) with
+``circuits.apply``, the engine the ideal unitaries use too, which describes
+how a repeated Trotter step is applied and what it costs.  It keeps the last
+circuit's resolved superoperators in a one-entry memo and reuses them while
+the next call has the same circuit object, equal metadata and the same
+``params`` object, as tomography's 17 calls per circuit do; rho0 is checked
+on every call.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, gate_unitary, propagate
+from .circuits import Circuit, Gate, apply, gate_unitary, resolve
 # the device names stay importable from here
 from .device import (THETA_TO_NS, NoiseParams, TimingParams, _step_z_fraction,
                      gate_duration_ns, predicted_fidelity)
@@ -159,8 +164,14 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     return s
 
 
+# the last circuit simulated: (circuit, copy of its metadata, params, the
+# superoperators ``resolve`` gave for them)
+_last = (None, None, None, [])
+
+
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> np.ndarray:
     """Propagate a density matrix through the circuit under the noise model."""
+    global _last
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
     meta = circuit.metadata
     j_sign = int(meta.get("j_sign", -1))
@@ -170,5 +181,9 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> n
                   if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
         return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, meta), params)
 
-    rho = propagate(circuit, superop, vec).reshape(4, 4)
+    last_circuit, last_meta, last_params, superops = _last
+    if not (circuit is last_circuit and params is last_params and meta == last_meta):
+        superops = resolve(circuit, superop)
+        _last = (circuit, dict(meta), params, superops)
+    rho = apply(superops, vec).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0

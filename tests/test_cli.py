@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinsim.cli
+import spinsim.noise
 from conftest import FIG3
 from spinsim.circuits import EvolutionParams, circuit_unitary, compile_ising
 from spinsim.cli import ConfigError, RunConfig, build_circuit, load_config, main
@@ -460,6 +461,26 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
                         else json.dumps(config).encode())
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
                  *flags]) == 2
+
+
+def test_huge_n_steps_error_is_one_short_line(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"protocol": "ising", "n_steps": HUGE}))
+    assert main(["schedule", "--config", str(cfg), "--thetas", "1.0",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and err.count("\n") == 1
+    assert "n=<401 digits>" in err
+
+
+def test_tomography_resolves_each_circuit_once(tmp_path):
+    """The 16 tomography inputs and the report row reuse one resolved circuit."""
+    gates = len(build_circuit(load_config(None, {"protocol": "heisenberg"}), 0.7).gates)
+    lookups = spinsim.noise._gate_superop.cache_info
+    before = lookups().hits + lookups().misses
+    assert main(["tomography", "--protocol", "heisenberg", "--thetas", "0.7",
+                 "--out", str(tmp_path)]) == 0
+    assert lookups().hits + lookups().misses - before == gates == 11
 
 
 def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):

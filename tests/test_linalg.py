@@ -4,7 +4,8 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spinsim.linalg import ID2, SX, SY, SZ, herm_expm, kron, partial_transpose
+from spinsim.linalg import (ID2, SX, SY, SZ, check_density_matrix, herm_expm, kron,
+                            partial_transpose)
 from spinsim.hamiltonians import SpinModelSpec, build_xy
 
 from conftest import BELL, FIG2, expval, random_hermitian, random_density
@@ -126,3 +127,49 @@ class TestPartialTranspose:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             partial_transpose(np.eye(8) / 8, 0)
+
+
+class TestCheckDensityMatrix:
+    @pytest.mark.parametrize("rho, message", [
+        (np.zeros((4, 3)), "rho0 must be square, got shape (4, 3)"),
+        (np.ones(4) / 4, "rho0 must be square, got shape (4,)"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]),
+         "rho0 is not Hermitian: max asymmetry 1.000e-01"),
+        (np.eye(4) / 2, "rho0 has trace 2+0j, expected 1"),
+        (np.diag([0.75, 0.5, -0.25, 0.0]), "rho0 has negative eigenvalue -2.500e-01"),
+        # the checks run in this order: Hermiticity, trace, positivity
+        (np.array([[1.0, 0.1], [0.0, 1.0]]),
+         "rho0 is not Hermitian: max asymmetry 1.000e-01"),
+        (np.diag([1.5, -1.0, 0.0, 0.0]), "rho0 has trace 0.5+0j, expected 1"),
+    ], ids=["non-square", "vector", "non-hermitian", "bad-trace", "negative",
+            "non-hermitian-and-bad-trace", "bad-trace-and-negative"])
+    def test_rejects_with_message(self, rho, message):
+        with pytest.raises(ValueError) as exc:
+            check_density_matrix(rho, "rho0")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("index, value", [
+        ((0, 0), np.nan), ((0, 1), np.nan), ((2, 2), np.inf), ((1, 2), -np.inf),
+        ((3, 3), complex(np.nan, 0.0))],
+        ids=["nan-diagonal", "nan-off-diagonal", "inf-diagonal", "inf-off-diagonal",
+             "complex-nan-diagonal"])
+    def test_non_finite_entry_fails_before_eigvalsh(self, index, value):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[index] = value
+        with pytest.raises(ValueError, match="^rho0 is not Hermitian"):
+            check_density_matrix(rho, "rho0")
+
+    def test_entries_changed_after_a_pass_are_checked_again(self):
+        rho = np.eye(4, dtype=complex) / 4
+        check_density_matrix(rho, "rho0")
+        rho[0, 0] = 1.0
+        with pytest.raises(ValueError, match="^rho0 has trace"):
+            check_density_matrix(rho, "rho0")
+        rho[0, 0] = 0.25
+        assert check_density_matrix(rho, "rho0") is rho
+
+    def test_valid_input_comes_back_as_the_same_array(self, rng):
+        rho = random_density(rng)
+        assert check_density_matrix(rho) is rho
+        pure = np.outer(BELL, BELL.conj())
+        assert check_density_matrix(pure, "rho0") is pure

@@ -511,6 +511,66 @@ def test_misleading_n_steps_propagates_gate_by_gate(c, params, seed):
     assert rho.tobytes() == matvec_reference(c, params, rho0).tobytes()
 
 
+@st.composite
+def memo_call_sequences(draw):
+    """Interleaved calls over two or three single-step circuits and noise parameters.
+
+    The last circuit is a twin of the first: equal metadata, one more gate.
+    The parameters include an equal but distinct ``NoiseParams``; a call may
+    first change its circuit's ``j_sign`` or ``b_over_j`` in place.
+    """
+    circuits = [compiled_circuit(draw(st.sampled_from(("xy", "heisenberg", "ising"))),
+                                 draw(angles), 1, draw(st.floats(-5.0, 5.0)),
+                                 draw(st.sampled_from((-1, 1))))
+                for _ in range(draw(st.integers(1, 2)))]
+    first = circuits[0]
+    circuits.append(Circuit(2, first.gates + (draw(single_gates),), dict(first.metadata)))
+    params = [NoiseParams(), NoiseParams(), draw(noise_params())]
+    calls = draw(st.lists(st.tuples(
+        st.integers(0, len(circuits) - 1), st.integers(0, len(params) - 1),
+        st.sampled_from(("call", "call", "flip j_sign", "set b_over_j")),
+        st.floats(-5.0, 5.0)), min_size=2, max_size=16))
+    return circuits, params, calls
+
+
+@settings(deadline=None, max_examples=150)
+@given(sequence=memo_call_sequences(), seed=st.integers(0, 2 ** 32 - 1))
+def test_memo_of_last_circuit_matches_matvec_reference(sequence, seed):
+    circuits, params, calls = sequence
+    rng = np.random.default_rng(seed)
+    for i, k, action, b_over_j in calls:
+        meta = circuits[i].metadata
+        if action == "flip j_sign":
+            meta["j_sign"] = -meta["j_sign"]
+        elif action == "set b_over_j":
+            meta["b_over_j"] = b_over_j
+        rho0 = random_density(rng)
+        rho = simulate_noisy(circuits[i], params[k], rho0)
+        assert rho.tobytes() == matvec_reference(circuits[i], params[k], rho0).tobytes()
+
+
+@pytest.mark.parametrize("index", [(0, 0), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_nan_rho0_is_rejected_by_name(index):
+    c, params = compiled_circuit("heisenberg", 0.7, 1, 0.0, -1), NoiseParams()
+    rho0 = np.eye(4, dtype=complex) / 4
+    simulate_noisy(c, params, rho0)  # the next call reuses this circuit's superoperators
+    rho0[index] = math.nan
+    with pytest.raises(ValueError, match="^rho0 is not Hermitian"):
+        simulate_noisy(c, params, rho0)
+
+
+def test_failed_resolution_is_not_remembered():
+    c, params = compiled_circuit("ising", 1.0, 1, 2.0, -1), NoiseParams()
+    rho0 = np.outer(FIG3, FIG3.conj())
+    expected = simulate_noisy(c, params, rho0)
+    c.metadata["b_over_j"] = "not a number"
+    for _ in range(2):
+        with pytest.raises(ValueError, match="could not convert"):
+            simulate_noisy(c, params, rho0)
+    c.metadata["b_over_j"] = 2.0
+    assert simulate_noisy(c, params, rho0).tobytes() == expected.tobytes()
+
+
 def test_ising_step_power_looks_up_one_step(monkeypatch):
     c = compile_ising(EvolutionParams(2.5, 1000, 3.0))
     assert len(c.gates) == 10000 and c.metadata["gates_per_step"] == 10
