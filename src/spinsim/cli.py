@@ -13,6 +13,13 @@ protocol.
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
 
+``simulate`` and ``trotter-scan`` compile and run one circuit per grid point,
+keeping only its state, then analyse the whole grid in stacked calls: the
+exact states from one eigendecomposition of the model Hamiltonian, and the
+observables, negativities and fidelities as arrays.  So a failure of the
+exact evolution shows after the grid's circuits have run, and names its theta.
+``tomography`` analyses each circuit as it runs.
+
 Configs, circuits and schedules are plain Python.  ``simulate``,
 ``trotter-scan`` and ``tomography`` import numpy and the numeric modules on
 first use and bind their names as module globals, so ``schedule`` and
@@ -75,9 +82,9 @@ def _bind_numerics() -> None:
     g.setdefault("np", numpy)
     for name in _NUMERIC:
         g.setdefault(name, getattr(sys.modules[__package__], name))
-    if "_OBS" not in g:  # the Pauli observable of each _OBS_LABELS entry
+    if "_OBS" not in g:  # the Pauli observables of _OBS_LABELS as a (7, 4, 4) stack
         from .tomography import PAULI_LABELS_2Q as labels, PAULI_MATRICES_2Q as paulis
-        g["_OBS"] = tuple(paulis[labels.index(label)] for label in _OBS_LABELS)
+        g["_OBS"] = numpy.array([paulis[labels.index(label)] for label in _OBS_LABELS])
 
 
 def __getattr__(name: str):
@@ -289,10 +296,11 @@ def _compile(compiler, params: EvolutionParams, j_sign: int) -> Circuit:
     """Run a protocol compiler; an overflowing angle or step count is a config error."""
     try:
         return compiler(params, j_sign=j_sign)
-    except (OverflowError, ValueError) as exc:
+    except (OverflowError, ValueError, MemoryError) as exc:  # n too large for memory
         n = str(params.n_steps)
         n = n if len(n) <= 20 else f"<{len(n)} digits>"
-        raise ConfigError(f"cannot compile theta={params.theta!r} n={n}: {exc}") from exc
+        reason = str(exc) or type(exc).__name__
+        raise ConfigError(f"cannot compile theta={params.theta!r} n={n}: {reason}") from exc
 
 
 def _check_finite(rows) -> None:
@@ -315,13 +323,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text(_csv_text(header, rows), newline="\n")
 
 
-def _bloch_row(state) -> list[float]:
-    rho = np.asarray(state)
-    if rho.ndim == 1:
-        rho = np.outer(rho, rho.conj())
-    vals = [float(np.trace(rho @ obs).real) for obs in _OBS]
-    vals.append(negativity(rho))
-    return vals
+def _observables(states) -> np.ndarray:
+    """The (T, 8) ``_OBS_COLS`` values of T state vectors or density matrices."""
+    rho = np.asarray(states)
+    if rho.ndim == 2:
+        rho = rho[:, :, None] * rho.conj()[:, None, :]
+    # Tr(rho @ obs) as a stack of products, which keeps the bits of one
+    # product at a time; one einsum would sum the terms in another order
+    vals = np.trace(rho[:, None] @ _OBS, axis1=-2, axis2=-1).real
+    return np.column_stack([vals, negativity(rho)])
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -332,19 +342,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     header = ["theta", *_OBS_COLS, "fid_vs_exact"]
     if cfg.noise is not None:
         header += [f"noisy_{k}" for k in _OBS_COLS] + ["noisy_fid_vs_exact"]
-    rows = []
+    kets, rhos = [], []
     for theta in cfg.theta_grid:
         circ = build_circuit(cfg, theta)
-        psi_exact = exact_evolve(h, theta / 2.0, psi0)
-        psi_circ = circuit_unitary(circ) @ psi0
-        row = [float(theta)]
-        row += _bloch_row(psi_exact)
-        row.append(state_fidelity(psi_circ, psi_exact))
+        kets.append(circuit_unitary(circ) @ psi0)
         if cfg.noise is not None:
-            rho = simulate_noisy(circ, cfg.noise, rho0)
-            row += _bloch_row(rho)
-            row.append(state_fidelity(rho, psi_exact))
-        rows.append(row)
+            rhos.append(simulate_noisy(circ, cfg.noise, rho0))
+    psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)
+    cols = [_observables(psi_exact), state_fidelity(kets, psi_exact)]
+    if cfg.noise is not None:
+        cols += [_observables(rhos), state_fidelity(rhos, psi_exact)]
+    rows = np.column_stack([cfg.theta_grid, *cols]).tolist()
     _write_csv(out_dir / f"{cfg.protocol}_dynamics.csv", header, rows)
     return EXIT_OK
 
@@ -354,23 +362,24 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
     psi0 = replace(cfg, protocol="ising").psi0()
     rho0 = np.outer(psi0, psi0.conj())
-    rows = []
+    kets, rhos = [], []
     for theta in cfg.theta_grid:
-        # compile first: an overflowing field angle is a config error, and the
-        # oracle would only warn about it
+        # every n compiles before any runs: an overflowing field angle is a
+        # config error
         circuits = [_compile(compile_ising, EvolutionParams(theta, n, cfg.b_over_j),
                              cfg.j_sign) for n in cfg.n_list]
-        psi_exact = exact_evolve(h, theta / 2.0, psi0)
-        for n, circ in zip(cfg.n_list, circuits):
-            psi_circ = circuit_unitary(circ) @ psi0
-            fid_ideal = state_fidelity(psi_circ, psi_exact)
+        for circ in circuits:
+            kets.append(circuit_unitary(circ) @ psi0)
             if cfg.noise is not None:
-                rho = simulate_noisy(circ, cfg.noise, rho0)
-                fid_noisy = state_fidelity(rho, psi_exact)
-            else:
-                fid_noisy = fid_ideal
-            _, f_s = predicted_fidelity(n, F_P_XY_REFERENCE)
-            rows.append([float(theta), n, fid_ideal, fid_noisy, f_s])
+                rhos.append(simulate_noisy(circ, cfg.noise, rho0))
+    psi_exact = np.repeat(exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0),
+                          len(cfg.n_list), axis=0)
+    fid_ideal = state_fidelity(kets, psi_exact).tolist()
+    fid_noisy = fid_ideal if cfg.noise is None else state_fidelity(rhos, psi_exact).tolist()
+    f_s = {n: predicted_fidelity(n, F_P_XY_REFERENCE)[1] for n in cfg.n_list}
+    cells = [(float(theta), n) for theta in cfg.theta_grid for n in cfg.n_list]
+    rows = [[theta, n, fi, fn, f_s[n]]
+            for (theta, n), fi, fn in zip(cells, fid_ideal, fid_noisy)]
     _write_csv(out_dir / "trotter_scan.csv",
                ["theta", "n", "fid_ideal_trotter", "fid_noisy", "f_s_predicted"],
                rows)

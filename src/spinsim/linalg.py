@@ -44,32 +44,39 @@ def max_asymmetry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
+def herm_expm(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition.
 
+    ``t`` is a number, or a 1-D array of times for a (T, n, n) stack of
+    exponentials from the one eigendecomposition; a number gives the n x n
+    matrix, with the bits of the stack's entry at that time.
+
     Raises ValueError for non-Hermitian input, reporting the maximum
-    entrywise asymmetry.
+    entrywise asymmetry; a NaN or infinite entry fails that check.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    asym = max_asymmetry(h)
-    if asym > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore"):  # an infinite entry gives inf - inf
+        asym = max_asymmetry(h)
+    if not asym <= HERMITICITY_TOL:  # written so that NaN fails
         raise ValueError(f"input is not Hermitian: max asymmetry {asym:.3e}")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    phase = np.multiply.outer(-1j * np.asarray(t), w)
+    return (v * np.exp(phase)[..., None, :]) @ v.conj().T
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
-    """Transpose one qubit's indices of a two-qubit matrix (qubit 0 or 1)."""
+    """Transpose one qubit's indices (qubit 0 or 1) of a two-qubit matrix,
+    or of each matrix in a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_transpose expects a 4x4 matrix, got {rho.shape}")
     if subsystem not in (0, 1):
         raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
-    r = rho.reshape(2, 2, 2, 2)  # axes: (i1, i2, j1, j2)
-    r = r.transpose(2, 1, 0, 3) if subsystem == 0 else r.transpose(0, 3, 2, 1)
-    return r.reshape(4, 4)
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # last axes: (i1, i2, j1, j2)
+    r = r.swapaxes(-4, -2) if subsystem == 0 else r.swapaxes(-3, -1)
+    return r.reshape(rho.shape)
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -83,6 +90,8 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be square, got shape {rho.shape}")
+    if not rho.size:
+        raise ValueError(f"{name} is empty, got shape {rho.shape}")
     _check_entries(rho.tobytes(), len(rho), name)
     return rho
 

@@ -157,22 +157,36 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     return float(min(max(val.real, 0.0), 1.0))
 
 
-def state_fidelity(rho: np.ndarray, psi_target: np.ndarray) -> float:
-    """<psi| rho |psi>; accepts a state vector rho as well."""
+def state_fidelity(rho: np.ndarray, psi_target: np.ndarray):
+    """<psi| rho |psi>, clamped to [0, 1]; accepts a state vector rho as well.
+
+    Stacks give an array: rho is (..., 4) state vectors or (..., 4, 4)
+    density matrices against targets (..., 4), told apart by psi_target's
+    ndim, since a 4x4 rho could be either.  One state gives a float.
+    """
     psi = np.asarray(psi_target, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        val = abs(np.vdot(psi, rho)) ** 2
+    if rho.ndim == psi.ndim:
+        # |<psi|rho>|^2 through libm's hypot and pow, the functions numpy's
+        # scalar abs and ** call, so a stack has the bits of one state at a time
+        d = np.vecdot(psi, rho)
+        val = np.float_power(np.hypot(d.real, d.imag), 2)
     else:
-        val = np.vdot(psi, rho @ psi).real
-    return float(min(max(val, 0.0), 1.0))
+        val = np.vecdot(psi, np.matvec(rho, psi)).real
+    # min(max(val, 0.0), 1.0) elementwise: NaN and -0.0 pass unchanged
+    val = np.where(val < 0.0, 0.0, np.minimum(val, 1.0))
+    return float(val) if val.ndim == 0 else val
 
 
-def negativity(rho: np.ndarray) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose (two qubits)."""
-    rho = np.asarray(rho, dtype=complex)
+def negativity(rho: np.ndarray):
+    """Sum of |negative eigenvalues| of the partial transpose (two qubits).
+
+    A (..., 4, 4) stack gives an array, one matrix a float.
+    """
     w = np.linalg.eigvalsh(partial_transpose(rho, 0))
-    return float(abs(w[w < 0.0].sum()))
+    # eigenvalues ascend, so the negatives sum in the order w[w < 0].sum() takes
+    neg = np.abs(np.where(w < 0.0, w, 0.0).sum(axis=-1))
+    return float(neg) if neg.ndim == 0 else neg
 
 
 def _indent1_list(items, depth: int) -> str:

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
                               compile_ising, compile_xy)
+from spinsim.hamiltonians import oracle_hamiltonian
 
 
 # Property tests draw the same examples on every run, so a test run is
@@ -112,3 +114,23 @@ def misleading_circuits(draw):
         other = Gate.xy(0.25) if step[-1] != Gate.xy(0.25) else Gate.xy(0.5)
         body = step * (n - 1) + step[:-1] + (other,)
     return Circuit(2, body, {"n_steps": n, "j_sign": j_sign})
+
+
+# Stacked and single calls are compared on these draws.
+def complex_arrays(shape, max_magnitude=1.0):
+    return arrays(complex, shape, elements=st.complex_numbers(
+        max_magnitude=max_magnitude, allow_nan=False, allow_infinity=False))
+
+
+# a phase-angle grid as the CLI takes it: 0 first, then ascending angles
+theta_grids = st.lists(st.floats(0.0, 4 * np.pi, exclude_min=True), max_size=12,
+                       unique=True).map(lambda angles: [0.0, *sorted(angles)])
+
+hermitian_matrices = st.one_of(
+    st.builds(oracle_hamiltonian, st.sampled_from(("xy", "heisenberg", "ising")),
+              st.floats(-10.0, 10.0), st.sampled_from((-1, 1))),
+    complex_arrays((4, 4)).map(lambda a: (a + a.conj().T) / 2.0))
+
+# (..., 4, 4) stacks with one or two leading axes
+matrix_stacks = st.sampled_from([(1,), (5,), (2, 3)]).flatmap(
+    lambda lead: complex_arrays((*lead, 4, 4)))

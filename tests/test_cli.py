@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import spinsim.cli
 import spinsim.noise
-from conftest import FIG3
+from conftest import FIG3, complex_arrays
 from spinsim.circuits import EvolutionParams, circuit_unitary, compile_ising
 from spinsim.cli import ConfigError, RunConfig, build_circuit, load_config, main
 from spinsim.hamiltonians import (dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
 from spinsim.noise import NoiseParams, simulate_noisy
-from spinsim.tomography import process_tomography, state_fidelity
+from spinsim.tomography import negativity, process_tomography, state_fidelity
 from test_api import run_fresh
 from test_tomography import json_reference
 
@@ -449,6 +449,10 @@ BAD_CIRCUITS = {
                  id="n_steps-huge-int"),
     pytest.param("trotter-scan", {}, ["--n-list", str(HUGE), "--thetas", "1.0"],
                  id="n-list-flag-huge-int"),
+    # a step count whose gate tuple cannot be allocated at all (see
+    # test_n_steps_beyond_memory_is_a_config_error)
+    pytest.param("trotter-scan", {"n_list": [1, 10 ** 15]}, ["--thetas", "1.0"],
+                 id="n_list-beyond-memory"),
 ])
 def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
     """``config`` is dumped as JSON, written raw if bytes, or not written if None."""
@@ -471,6 +475,25 @@ def test_huge_n_steps_error_is_one_short_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err) < 200 and err.count("\n") == 1
     assert "n=<401 digits>" in err
+
+
+def test_n_steps_beyond_memory_is_a_config_error(tmp_path, capsys):
+    # 10**13 copies of an 8-gate step need 640 TB of pointers, so the tuple's
+    # allocation fails at once; never try an n that could really be allocated
+    assert main(["simulate", "--protocol", "ising", "--n-steps", str(10 ** 13),
+                 "--thetas", "1.0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot compile theta=1.0 n=10000000000000: MemoryError\n")
+
+
+def test_exact_evolution_failure_names_theta(tmp_path, capsys):
+    # heisenberg compiles any finite angle, but exp(-i h theta/2) overflows
+    # once 3 theta/2 does
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--protocol", "heisenberg", "--no-noise",
+                     "--thetas", "1,1.5e308,1.6e308", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("error: evolution gave a non-finite state "
+                                       "at t=7.5e+307 (theta=1.5e+308)\n")
 
 
 def test_tomography_resolves_each_circuit_once(tmp_path):
@@ -563,6 +586,43 @@ def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):
         assert main(["simulate", "--protocol", protocol, "--thetas", "1.0",
                      "--no-noise", "--out", str(tmp_path)]) == 0
     assert calls == ["compile_ising", "compile_heisenberg"]
+
+
+def test_benchmark_tracer_spans_are_called(tmp_path, monkeypatch):
+    """Each sweep span of the benchmark's tracer sees calls from simulate and
+    trotter-scan; a name still defined but no longer called reads as 0 s."""
+    import spinsim.hamiltonians
+
+    wrapped = [(spinsim.cli, name) for name in ("exact_evolve", "state_fidelity",
+                                               "negativity", "circuit_unitary",
+                                               "simulate_noisy")]
+    wrapped.append((spinsim.hamiltonians, "herm_expm"))
+    calls = []
+    for module, name in wrapped:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert main(["simulate", "--protocol", "ising", "--thetas", "0,1.5",
+                 "--out", str(tmp_path)]) == 0
+    assert set(calls) == {name for _, name in wrapped}
+    calls.clear()
+    assert main(["trotter-scan", "--thetas", "0,1.5", "--n-list", "1,3",
+                 "--out", str(tmp_path)]) == 0
+    assert set(calls) == {name for _, name in wrapped} - {"negativity"}
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(complex_arrays((n, 4)),
+                                                     complex_arrays((n, 4, 4)))))
+def test_observables_keep_the_bits_of_one_state_at_a_time(stacks):
+    """The stacked dynamics columns equal Tr(rho @ obs) and negativity per state."""
+    spinsim.cli._bind_numerics()
+    for states in stacks:
+        rows = spinsim.cli._observables(states)
+        for state, row in zip(states, rows):
+            rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+            expected = [np.trace(rho @ obs).real for obs in spinsim.cli._OBS]
+            assert np.array([*expected, negativity(rho)]).tobytes() == row.tobytes()
 
 
 # Wrappers installed on spinsim.cli before its first numeric command, as the

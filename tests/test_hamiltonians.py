@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinsim.hamiltonians import (VALID_KINDS, SpinModelSpec, build_hamiltonian,
                                   build_heisenberg, build_ising, build_xy,
@@ -8,7 +8,7 @@ from spinsim.hamiltonians import (VALID_KINDS, SpinModelSpec, build_hamiltonian,
                                   oracle_hamiltonian)
 from spinsim.linalg import ID2, SX, SY, SZ, kron
 
-from conftest import FIG2, FIG3, expval
+from conftest import FIG2, FIG3, complex_arrays, expval, hermitian_matrices, theta_grids
 
 
 def test_spec_validation():
@@ -117,6 +117,21 @@ class TestExactEvolve:
         h = oracle_hamiltonian("ising", 1e308, -1)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
             exact_evolve(h, 4.0, [1, 0, 0, 0])
+
+    def test_stacked_failure_names_its_time_and_theta(self):
+        h = oracle_hamiltonian("ising", 1e308, -1)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^evolution gave a non-finite state at t=4\.0 \(theta=8\.0\)$"):
+            exact_evolve(h, [0.0, 1e-300, 4.0, 5.0], [1, 0, 0, 0])
+
+    @settings(max_examples=60)
+    @given(hermitian_matrices, complex_arrays(4), theta_grids)
+    def test_stacked_times_match_single_calls(self, h, psi0, thetas):
+        ts = np.array(thetas) / 2.0
+        stack = exact_evolve(h, ts, psi0)
+        assert stack.shape == (len(ts), 4)
+        for t, psi in zip(ts, stack):
+            assert exact_evolve(h, float(t), psi0).tobytes() == psi.tobytes()
 
     def test_exchange_full_transfer_bloch_vectors(self):
         # at phase angle pi the spins end along +y and +z

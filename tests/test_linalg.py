@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spinsim.linalg import (ID2, SX, SY, SZ, check_density_matrix, herm_expm, kron,
                             partial_transpose)
 from spinsim.hamiltonians import SpinModelSpec, build_xy
 
-from conftest import BELL, FIG2, expval, random_hermitian, random_density
+from conftest import (BELL, FIG2, expval, hermitian_matrices, matrix_stacks,
+                      random_hermitian, random_density, theta_grids)
 
 
 class TestKron:
@@ -59,6 +60,31 @@ class TestHermExpm:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="asymmetry"):
             herm_expm(bad, 1.0)
+
+    @pytest.mark.parametrize("entries", [{(1, 1): np.nan}, {(0, 1): np.nan},
+                                         {(0, 1): np.inf, (1, 0): np.inf}],
+                             ids=["nan-diagonal", "nan-off-diagonal", "inf-pair"])
+    def test_rejects_non_finite_entries(self, entries):
+        # NaN > tol is False, and inf - inf warns; both must fail the check
+        h = np.eye(4, dtype=complex)
+        for index, value in entries.items():
+            h[index] = value
+        with pytest.raises(ValueError, match="^input is not Hermitian: max asymmetry nan$"):
+            herm_expm(h, 1.0)
+
+    @settings(max_examples=60)
+    @given(hermitian_matrices, theta_grids)
+    def test_stacked_times_match_single_calls(self, h, thetas):
+        ts = np.array(thetas) / 2.0
+        stack = herm_expm(h, ts)
+        assert stack.shape == (len(ts), 4, 4)
+        w, v = np.linalg.eigh(h)
+        for t, u in zip(ts, stack):
+            single = herm_expm(h, float(t))
+            assert type(single) is np.ndarray and single.shape == (4, 4)
+            # the bits of the one-time formula
+            assert single.tobytes() == ((v * np.exp(-1j * float(t) * w)) @ v.conj().T).tobytes()
+            assert single.tobytes() == u.tobytes()
 
     def test_additivity(self, rng):
         for _ in range(20):
@@ -128,6 +154,13 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(8) / 8, 0)
 
+    @given(matrix_stacks, st.sampled_from((0, 1)))
+    def test_stack_matches_single_calls(self, stack, sub):
+        out = partial_transpose(stack, sub)
+        assert out.shape == stack.shape
+        for rho, pt in zip(stack.reshape(-1, 4, 4), out.reshape(-1, 4, 4)):
+            assert np.array_equal(partial_transpose(rho, sub), pt)
+
 
 class TestCheckDensityMatrix:
     @pytest.mark.parametrize("rho, message", [
@@ -141,8 +174,9 @@ class TestCheckDensityMatrix:
         (np.array([[1.0, 0.1], [0.0, 1.0]]),
          "rho0 is not Hermitian: max asymmetry 1.000e-01"),
         (np.diag([1.5, -1.0, 0.0, 0.0]), "rho0 has trace 0.5+0j, expected 1"),
+        (np.zeros((0, 0)), "rho0 is empty, got shape (0, 0)"),
     ], ids=["non-square", "vector", "non-hermitian", "bad-trace", "negative",
-            "non-hermitian-and-bad-trace", "bad-trace-and-negative"])
+            "non-hermitian-and-bad-trace", "bad-trace-and-negative", "empty"])
     def test_rejects_with_message(self, rho, message):
         with pytest.raises(ValueError) as exc:
             check_density_matrix(rho, "rho0")

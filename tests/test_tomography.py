@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_unitary,
                               compile_heisenberg)
 from spinsim.hamiltonians import SpinModelSpec, build_xy, exact_evolve
-from spinsim.linalg import kron
+from spinsim.linalg import kron, partial_transpose
 from spinsim.noise import NoiseParams, simulate_noisy
 from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
                                 CHI_BASIS, PROCESS_INPUT_STATES, TomographyRecord,
@@ -18,8 +18,8 @@ from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
                                 reconstruct_state, state_fidelity,
                                 synthesize_measurements)
 
-from conftest import (BELL, FIG2, SWAP, compiled_circuit, random_density,
-                      random_state, random_unitary)
+from conftest import (BELL, FIG2, SWAP, complex_arrays, compiled_circuit,
+                      matrix_stacks, random_density, random_state, random_unitary)
 
 
 def unitary_channel(u):
@@ -196,6 +196,29 @@ class TestStateFidelity:
     def test_vector_input(self):
         assert state_fidelity(BELL, BELL) == pytest.approx(1.0)
 
+    def test_four_by_four_input_read_by_target_ndim(self):
+        # four state vectors against four targets; one density matrix against one
+        assert state_fidelity(np.eye(4), np.eye(4)).tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert state_fidelity(np.eye(4) / 4.0, np.eye(4)[0]) == 0.25
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        complex_arrays((n, 4), 0.6), complex_arrays((n, 4), 0.6),
+        complex_arrays((n, 4, 4), 0.6))))
+    def test_stack_matches_single_calls(self, draw):
+        # unnormalised draws reach both ends of the clamp to [0, 1]
+        psi, kets, rhos = draw
+
+        def one_state(s, p):  # the one-state formula, with numpy's scalar abs and **
+            val = abs(np.vdot(p, s)) ** 2 if s.ndim == 1 else np.vdot(p, s @ p).real
+            return float(min(max(val, 0.0), 1.0))
+
+        for states in (kets, rhos):
+            singles = [state_fidelity(s, p) for s, p in zip(states, psi)]
+            assert all(type(v) is float for v in singles)
+            expected = np.array([one_state(s, p) for s, p in zip(states, psi)])
+            assert np.array(singles).tobytes() == expected.tobytes()
+            assert expected.tobytes() == state_fidelity(states, psi).tobytes()
+
 
 class TestNegativity:
     def test_product_state(self, rng):
@@ -214,6 +237,18 @@ class TestNegativity:
         u = circuit_unitary(compile_heisenberg(EvolutionParams(np.pi / 4)))
         psi = u @ FIG2
         assert negativity(np.outer(psi, psi.conj())) == pytest.approx(0.25, abs=1e-9)
+
+    @given(matrix_stacks)
+    def test_stack_matches_single_calls(self, stack):
+        rho = (stack + stack.conj().swapaxes(-1, -2)) / 2.0  # any spectrum
+        singles = [negativity(r) for r in rho.reshape(-1, 4, 4)]
+        assert all(type(v) is float for v in singles)
+        spectra = [np.linalg.eigvalsh(partial_transpose(r, 0)) for r in rho.reshape(-1, 4, 4)]
+        expected = np.array([abs(w[w < 0.0].sum()) for w in spectra])
+        assert np.array(singles).tobytes() == expected.tobytes()
+        out = negativity(rho)
+        assert out.shape == rho.shape[:-2]
+        assert expected.tobytes() == out.reshape(-1).tobytes()
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(20):
