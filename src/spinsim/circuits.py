@@ -13,22 +13,19 @@ Conventions, pinned by the tests:
   cos(theta/2)]]``.  With the device sign j_sign = -1, XY(pi) is iSWAP and
   XY(pi/2) is sqrt(iSWAP).
 * ``ROT(a, phi, q)`` = exp(-i phi sigma_a / 2) on qubit q.
-* ``propagate`` applies the first gate first (rightmost factor).
+* ``circuit_matrix`` puts the first gate rightmost: it is applied first.
 * Identities that hold only up to a global phase are compared with
   ``phase_distance``.
 
-Propagation cost: ``propagate`` is the one engine for both the ideal 4x4
+Propagation cost: ``circuit_matrix`` is the one engine for both the ideal 4x4
 unitaries (``circuit_unitary``) and the noisy 16x16 superoperators
-(``noise.simulate_noisy``).  It resolves a circuit into the matrices it
-applies (``resolve``), then applies them to the state in order (``apply``);
-``simulate_noisy`` keeps the last circuit's resolved matrices for its next
-call.  When ``ir.repeated_step`` finds a circuit whose gates are exactly
-``n_steps`` copies of one step, as ``compile_ising`` builds them, resolving
-multiplies one step's gate matrices into a product and raises it to the
-power n by repeated squaring, so a circuit costs one step plus O(log n)
-matrix products; any other circuit resolves to its gates' matrices, applied
-to the state one by one.  ``gate_unitary`` is cached and returns read-only
-arrays.
+(``noise.simulate_noisy``).  It turns a circuit into one matrix, the ordered
+product of its gates' matrices, which the caller applies to the state.  When
+``ir.repeated_step`` finds a circuit whose gates are exactly ``n_steps``
+copies of one step, as ``compile_ising`` builds them, only one step is
+multiplied out and the product is raised to the power n by repeated squaring,
+so a circuit costs one step plus O(log n) matrix products.  ``gate_unitary``
+is cached and returns read-only arrays.
 """
 
 from __future__ import annotations
@@ -68,44 +65,24 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
     return u
 
 
-def resolve(c: Circuit, matrix_of) -> list[np.ndarray]:
-    """The matrices ``propagate`` applies to a state, first one first.
+def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
+    """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
-    When ``repeated_step`` finds n > 1 copies of one step, the step's matrices
-    ``matrix_of(gate)`` are multiplied into one product, starting from the
-    identity, and the one matrix is that product raised to the power n by
-    repeated squaring.  Otherwise it is each gate's matrix in turn.
+    The product starts from the identity and puts the first gate rightmost.
+    When ``repeated_step`` finds n > 1 copies of one step, it is the step's
+    product raised to the power n by repeated squaring.
     """
     step, n = repeated_step(c)
-    matrices = [matrix_of(g) for g in step]
-    if n == 1:
-        return matrices
-    prod = np.eye(len(matrices[0]), dtype=complex)
-    for m in matrices:
-        prod = m @ prod
-    return [np.linalg.matrix_power(prod, n)]
-
-
-def apply(matrices: list[np.ndarray], state: np.ndarray) -> np.ndarray:
-    """Apply ``resolve``'s matrices to ``state`` in order."""
-    for m in matrices:
-        state = m @ state
-    return state
-
-
-def propagate(c: Circuit, matrix_of, state: np.ndarray) -> np.ndarray:
-    """Apply each gate's matrix ``matrix_of(gate)`` to ``state``, first gate first.
-
-    Resolving and applying are two steps, ``resolve`` then ``apply``, so a
-    caller that runs one circuit on many states can resolve it once.
-    """
-    return apply(resolve(c, matrix_of), state)
+    prod = np.eye(dim, dtype=complex)
+    for g in step:
+        prod = matrix_of(g) @ prod
+    return prod if n == 1 else np.linalg.matrix_power(prod, n)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Ordered product of the gate unitaries: first gate applied first."""
     j_sign = int(c.metadata.get("j_sign", -1))
-    return propagate(c, lambda g: gate_unitary(g, j_sign), np.eye(4, dtype=complex))
+    return circuit_matrix(c, lambda g: gate_unitary(g, j_sign), 4)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

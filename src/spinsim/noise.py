@@ -29,14 +29,13 @@ each the T1/T2 decay [[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0,
 microwave (x/y) rotation drives, the decay follows the depolarizing kick.
 Superoperators are built once per distinct (gate, coupling sign, z
 fraction, duration, parameters) and kept in a bounded cache.
-``simulate_noisy`` resolves the circuit into the superoperators it applies
-with ``circuits.resolve`` and applies them to vec(rho0) with
-``circuits.apply``, the engine the ideal unitaries use too, which describes
-how a repeated Trotter step is applied and what it costs.  It keeps the last
-circuit's resolved superoperators in a one-entry memo and reuses them while
-the next call has the same circuit object, equal metadata and the same
-``params`` object, as tomography's 17 calls per circuit do; rho0 is checked
-on every call.
+``simulate_noisy`` composes the circuit's superoperators into one 16x16
+matrix S with ``circuits.circuit_matrix``, the engine the ideal unitaries use
+too, which describes how a repeated Trotter step is composed and what it
+costs, and returns S vec(rho0).  It keeps the last circuit's S in a one-entry
+memo and reuses it while the next call has the same circuit object, equal
+metadata and the same ``params`` object, as tomography's 17 calls per circuit
+do; rho0 is checked on every call.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, apply, gate_unitary, resolve
+from .circuits import Circuit, Gate, circuit_matrix, gate_unitary
 # the device names stay importable from here
 from .device import (THETA_TO_NS, NoiseParams, TimingParams, _step_z_fraction,
                      gate_duration_ns, predicted_fidelity)
@@ -164,9 +163,9 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     return s
 
 
-# the last circuit simulated: (circuit, copy of its metadata, params, the
-# superoperators ``resolve`` gave for them)
-_last = (None, None, None, [])
+# the last circuit simulated: (circuit, copy of its metadata, params, its
+# superoperator)
+_last = (None, None, None, None)
 
 
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> np.ndarray:
@@ -181,9 +180,9 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> n
                   if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
         return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, meta), params)
 
-    last_circuit, last_meta, last_params, superops = _last
+    last_circuit, last_meta, last_params, s = _last
     if not (circuit is last_circuit and params is last_params and meta == last_meta):
-        superops = resolve(circuit, superop)
-        _last = (circuit, dict(meta), params, superops)
-    rho = apply(superops, vec).reshape(4, 4)
+        s = circuit_matrix(circuit, superop, 16)
+        _last = (circuit, dict(meta), params, s)
+    rho = (s @ vec).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0

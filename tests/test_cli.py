@@ -497,7 +497,7 @@ def test_exact_evolution_failure_names_theta(tmp_path, capsys):
 
 
 def test_tomography_resolves_each_circuit_once(tmp_path):
-    """The 16 tomography inputs and the report row reuse one resolved circuit."""
+    """The 16 tomography inputs and the report row reuse one composed superoperator."""
     gates = len(build_circuit(load_config(None, {"protocol": "heisenberg"}), 0.7).gates)
     lookups = spinsim.noise._gate_superop.cache_info
     before = lookups().hits + lookups().misses
