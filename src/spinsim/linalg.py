@@ -62,8 +62,12 @@ def herm_expm(h: np.ndarray, t) -> np.ndarray:
     if not asym <= HERMITICITY_TOL:  # written so that NaN fails
         raise ValueError(f"input is not Hermitian: max asymmetry {asym:.3e}")
     w, v = np.linalg.eigh(h)
-    phase = np.multiply.outer(-1j * np.asarray(t), w)
-    return (v * np.exp(phase)[..., None, :]) @ v.conj().T
+    # a phase t * w beyond the float range gives a non-finite matrix, which
+    # the caller names (``exact_evolve`` does), so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.multiply.outer(-1j * np.asarray(t), w)
+        u = np.exp(phase)
+    return (v * u[..., None, :]) @ v.conj().T
 
 
 def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:

@@ -72,6 +72,12 @@ class TestHermExpm:
         with pytest.raises(ValueError, match="^input is not Hermitian: max asymmetry nan$"):
             herm_expm(h, 1.0)
 
+    @pytest.mark.parametrize("t", [1.6e308, np.array([1.0, 1.6e308])], ids=["scalar", "stack"])
+    def test_overflowing_phase_is_non_finite_without_warning(self, t):
+        # the caller names the failure; filterwarnings = error fails on a warning
+        u = herm_expm(3.0 * np.eye(4), t)
+        assert not np.isfinite(u).all()
+
     @settings(max_examples=60)
     @given(hermitian_matrices, theta_grids)
     def test_stacked_times_match_single_calls(self, h, thetas):
