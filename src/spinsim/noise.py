@@ -53,11 +53,15 @@ from .linalg import ID2, SX, SY, SZ, check_density_matrix
 
 
 def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
-    """(gamma, lambda) of one qubit's T1/T2 decay over one gate duration.
+    """(gamma, lambda, sqrt(1 - gamma), sqrt(1 - lambda)) of one qubit's T1/T2
+    decay over one gate duration.
 
     Amplitude damping uses gamma = 1 - exp(-t/T1); the pure-dephasing rate is
     1/T_phi = 1/T2 - 1/(2*T1) and the phase-damping parameter is
-    lambda = 1 - exp(-2*t/T_phi), so off-diagonals decay as exp(-t/T2).
+    lambda = 1 - exp(-2*t/T_phi), so off-diagonals decay as exp(-t/T2).  Each
+    factor comes from its own exponential, sqrt(1 - gamma) = exp(-t/(2*T1))
+    and sqrt(1 - lambda) = exp(-t/T_phi), and gamma and lambda from expm1, so
+    none of them cancels once decay is nearly complete.
     """
     if not (duration_ns >= 0.0 and t1_us > 0.0 and t2_us > 0.0):  # NaN fails
         raise ValueError("need duration >= 0 and T1, T2 > 0")
@@ -68,12 +72,12 @@ def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
         raise ValueError(f"unphysical T2 = {t2_us} > 2*T1 = {2 * t1_us}")
     r_phi = max(r_phi, 0.0)
     t = duration_ns * 1e-3
-    gamma = 1.0 - math.exp(-t * r1)
-    lam = 1.0 - math.exp(-2.0 * t * r_phi)
+    gamma = -math.expm1(-t * r1)
+    lam = -math.expm1(-2.0 * t * r_phi)
     # an overflowing rate or an infinite duration gives NaN here
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"gamma = {gamma} and lambda = {lam} must be in [0, 1]")
-    return gamma, lam
+    return gamma, lam, math.exp(-t * r1 / 2.0), math.exp(-t * r_phi)
 
 
 def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
@@ -84,13 +88,11 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
     diag(1, sqrt(1 - lambda) * sqrt(1 - gamma)); the decay jump
     [[0, sqrt(gamma)], [0, 0]] when gamma > 0; and the dephasing jump
     diag(0, sqrt(lambda) * sqrt(1 - gamma)) when that entry is nonzero.
-    ``_decay_parameters`` gives gamma and lambda.
+    ``_decay_parameters`` gives gamma, lambda and the two square roots.
     """
-    gamma, lam = _decay_parameters(duration_ns, t1_us, t2_us)
-    survive = math.sqrt(1.0 - gamma)
+    gamma, lam, survive, keep = _decay_parameters(duration_ns, t1_us, t2_us)
     dephase = math.sqrt(lam) * survive
-    kraus = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam) * survive]],
-                      dtype=complex)]
+    kraus = [np.array([[1.0, 0.0], [0.0, keep * survive]], dtype=complex)]
     if gamma > 0.0:
         kraus.append(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex))
     if dephase > 0.0:
@@ -99,11 +101,14 @@ def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
 
 
 def _decay_liouville(duration_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
-    """4x4 Liouville matrix of ``decoherence_kraus``'s channel, in closed form."""
-    gamma, lam = _decay_parameters(duration_ns, t1_us, t2_us)
-    c = math.sqrt(1.0 - lam) * math.sqrt(1.0 - gamma)
+    """4x4 Liouville matrix of ``decoherence_kraus``'s channel, in closed form.
+
+    The excited population keeps exp(-t/T1) = sqrt(1 - gamma)**2.
+    """
+    gamma, lam, survive, keep = _decay_parameters(duration_ns, t1_us, t2_us)
+    c = keep * survive
     return np.array([1.0, 0.0, 0.0, gamma, 0.0, c, 0.0, 0.0,
-                     0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 1.0 - gamma]).reshape(4, 4)
+                     0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, survive * survive]).reshape(4, 4)
 
 
 def depolarizing_kraus(p: float) -> list[np.ndarray]:

@@ -79,17 +79,18 @@ class TestDecoherenceKraus:
 def composed_decoherence_kraus(duration_ns, t1_us=math.inf, t2_us=math.inf):
     """Reference: phase damping after amplitude damping, zero products dropped.
 
-    The composition that ``decoherence_kraus`` replaced, kept verbatim so
-    the closed form can be compared with it bit for bit.
+    The composition that ``decoherence_kraus`` replaced, kept as it was; its
+    parameters come from the same lines as ``_decay_parameters``, so the
+    closed form can be compared with it bit for bit.
     """
-    def amplitude_damping_kraus(gamma):
-        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+    def amplitude_damping_kraus(gamma, survive):
+        k0 = np.array([[1.0, 0.0], [0.0, survive]], dtype=complex)
         if gamma == 0.0:
             return [k0]
         return [k0, np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
 
-    def dephasing_kraus(lam):
-        k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
+    def dephasing_kraus(lam, keep):
+        k0 = np.array([[1.0, 0.0], [0.0, keep]], dtype=complex)
         if lam == 0.0:
             return [k0]
         return [k0, np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex)]
@@ -98,11 +99,13 @@ def composed_decoherence_kraus(duration_ns, t1_us=math.inf, t2_us=math.inf):
     r2 = 0.0 if math.isinf(t2_us) else 1.0 / t2_us
     r_phi = max(r2 - r1 / 2.0, 0.0)
     t = duration_ns * 1e-3
-    gamma = 1.0 - math.exp(-t * r1)
-    lam = 1.0 - math.exp(-2.0 * t * r_phi)
+    gamma = -math.expm1(-t * r1)
+    lam = -math.expm1(-2.0 * t * r_phi)
+    # sqrt(1 - gamma) and sqrt(1 - lambda)
+    survive, keep = math.exp(-t * r1 / 2.0), math.exp(-t * r_phi)
     kraus = []
-    for p in dephasing_kraus(lam):
-        for a in amplitude_damping_kraus(gamma):
+    for p in dephasing_kraus(lam, keep):
+        for a in amplitude_damping_kraus(gamma, survive):
             k = p @ a
             if np.max(np.abs(k)) > 0.0:
                 kraus.append(k)
@@ -126,6 +129,15 @@ def test_decoherence_kraus_matches_composition_bit_for_bit(args):
     assert len(ks) == len(ref)
     for k, r in zip(ks, ref):
         assert k.dtype == r.dtype and k.tobytes() == r.tobytes()
+
+
+def test_near_complete_decay_keeps_its_coherence():
+    # gamma rounds to 1 at t = 100 us, T1 = 2 us, but the coherence is e^-25
+    args, expected = (1e5, 2.0, 4.0), math.exp(-25.0)
+    assert spinsim.noise._decay_liouville(*args)[1, 1] == pytest.approx(expected, rel=1e-12)
+    assert decoherence_kraus(*args)[0][1, 1].real == pytest.approx(expected, rel=1e-12)
+    assert spinsim.noise._decay_liouville(*args)[3, 3] == pytest.approx(math.exp(-50.0),
+                                                                        rel=1e-12)
 
 
 @settings(deadline=None, max_examples=500)
