@@ -134,10 +134,10 @@ def test_decoherence_kraus_matches_composition_bit_for_bit(args):
 def test_near_complete_decay_keeps_its_coherence():
     # gamma rounds to 1 at t = 100 us, T1 = 2 us, but the coherence is e^-25
     args, expected = (1e5, 2.0, 4.0), math.exp(-25.0)
-    assert spinsim.noise._decay_liouville(*args)[1, 1] == pytest.approx(expected, rel=1e-12)
+    liouville = spinsim.noise._decay_liouville(*args)
+    assert liouville[1, 1] == pytest.approx(expected, rel=1e-12)
+    assert liouville[3, 3] == pytest.approx(math.exp(-50.0), rel=1e-12)
     assert decoherence_kraus(*args)[0][1, 1].real == pytest.approx(expected, rel=1e-12)
-    assert spinsim.noise._decay_liouville(*args)[3, 3] == pytest.approx(math.exp(-50.0),
-                                                                        rel=1e-12)
 
 
 @settings(deadline=None, max_examples=500)
