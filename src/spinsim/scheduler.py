@@ -17,7 +17,12 @@ the compiled Ising sequence already carries them as gates.  Like ``ir`` and
 
 ``schedule`` and ``validate`` each cost O(E log E) in the event count E: flux
 unit ends, buffers and event starts are kept sorted and searched with
-``bisect``, so no check compares all pairs of events.
+``bisect``, so no check compares all pairs of events.  The fixed cost per
+event is kept small: a ``PulseEvent`` is a ``NamedTuple``, about a third of
+the cost of a frozen dataclass to build, events sort on C-level
+``attrgetter`` keys, a z gate repeated in every Trotter step has its pulse
+length computed once per ``schedule`` call, and ``validate`` finds each xy
+pulse's buffers once.
 """
 
 from __future__ import annotations
@@ -25,16 +30,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .device import TimingParams
 from .ir import Circuit, Gate
 
 _TOL = 1e-9
 _FMT = "{:.12g}".format
+_START = attrgetter("start_ns")
+_ORDER = attrgetter("start_ns", "channel", "label")  # timeline order
+_FLUX, _DRIVE = ("flux-Q1", "flux-Q2"), ("drive-Q1", "drive-Q2")  # by qubit
 
 
-@dataclass(frozen=True)
-class PulseEvent:
+class PulseEvent(NamedTuple):
     channel: str
     start_ns: float
     duration_ns: float
@@ -88,7 +97,8 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
             hits = ends[bisect_right(closes, t):bisect_right(opens, t)]
             if not hits:
                 return t
-            e, last = min(hits, key=lambda u: (u[1] <= last, u[1]))
+            e, last = (hits[0] if len(hits) == 1
+                       else min(hits, key=lambda u: (u[1] <= last, u[1])))
             t = e + wait
 
     def add_unit_end(e: float) -> None:
@@ -97,9 +107,13 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         opens.insert(i, e - _TOL)
         closes.insert(i, e + wait - _TOL)
 
+    rz_ns: dict[int, float] = {}  # by gate id; the circuit keeps its gates alive
+
     def place_rz(idx: int, g: Gate, t0: float) -> None:
-        dur = timing.rz_flux_ns(g, circuit.metadata)
-        events.append(PulseEvent(f"flux-Q{g.qubit + 1}", t0, dur, "rz", idx))
+        dur = rz_ns.get(id(g))
+        if dur is None:
+            dur = rz_ns[id(g)] = timing.rz_flux_ns(g, circuit.metadata)
+        events.append(PulseEvent(_FLUX[g.qubit], t0, dur, "rz", idx))
         add_unit_end(t0 + dur)
         ready[g.qubit] = t0 + dur
 
@@ -126,8 +140,7 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         elif g.kind == "ROT" and g.axis in ("x", "y"):
             t0 = bump(max(ready[g.qubit], cursor_floor))
             dur = timing.single_qubit_ns
-            events.append(PulseEvent(f"drive-Q{g.qubit + 1}", t0, dur,
-                                     f"rot_{g.axis}", idx))
+            events.append(PulseEvent(_DRIVE[g.qubit], t0, dur, "rot_" + g.axis, idx))
             ready[g.qubit] = t0 + dur
         elif g.kind == "ROT":
             # consecutive z-phase gates on the two qubits fire simultaneously,
@@ -149,11 +162,11 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         idx += 1
 
     total = max([cursor_floor, *ready] + [e + wait for e, _ in ends]
-                + [ev.end_ns for ev in events])
+                + [start + dur for _, start, dur, _, _ in events])
     if not math.isfinite(total):  # a pulse or wait overflowed the float range
         raise ValueError(f"pulse times overflow: the timeline ends at {total} ns")
 
-    events.sort(key=lambda ev: (ev.start_ns, ev.channel, ev.label))
+    events.sort(key=_ORDER)
     return PulseTimeline(tuple(events), total)
 
 
@@ -165,6 +178,8 @@ def _near(keyed: tuple[list[float], list], x: float) -> list:
     """
     keys, items = keyed
     lo, hi = bisect_left(keys, x - 2 * _TOL), bisect_right(keys, x + 2 * _TOL)
+    if hi - lo == 1:  # the usual case, without the slices
+        return [items[lo]] if abs(keys[lo] - x) < _TOL else []
     return [it for k, it in zip(keys[lo:hi], items[lo:hi]) if abs(k - x) < _TOL]
 
 
@@ -174,9 +189,10 @@ def _buffer_index(evs: list[PulseEvent]):
     ``evs`` are the channel's events sorted by start.
     """
     by_start = [b for b in evs if b.label == "buffer"]
-    by_end = sorted(enumerate(by_start), key=lambda rb: rb[1].end_ns)
+    ends = [b.end_ns for b in by_start]
+    ranks = sorted(range(len(ends)), key=ends.__getitem__)
     return (([b.start_ns for b in by_start], by_start),
-            ([b.end_ns for _, b in by_end], by_end))
+            ([ends[r] for r in ranks], [(r, by_start[r]) for r in ranks]))
 
 
 def _lead_trail(index, ev: PulseEvent) -> tuple[PulseEvent | None, PulseEvent | None]:
@@ -187,8 +203,11 @@ def _lead_trail(index, ev: PulseEvent) -> tuple[PulseEvent | None, PulseEvent | 
 
 
 def _flux_units(by_channel: dict[str, list[PulseEvent]],
-                buffers: dict) -> list[tuple[float, float, str]]:
-    """(start, end, kind) of each flux unit; buffers belong to their xy unit."""
+                lead_trail: dict) -> list[tuple[float, float, str]]:
+    """(start, end, kind) of each flux unit; buffers belong to their xy unit.
+
+    ``lead_trail`` maps each xy pulse's id to its ``_lead_trail``.
+    """
     units = []
     for channel, evs in by_channel.items():
         if not channel.startswith("flux"):
@@ -197,7 +216,7 @@ def _flux_units(by_channel: dict[str, list[PulseEvent]],
             if ev.label == "rz":
                 units.append((ev.start_ns, ev.end_ns, "rz"))
             elif ev.label == "xy":
-                lead, trail = _lead_trail(buffers[channel], ev)
+                lead, trail = lead_trail[id(ev)]
                 start = lead.start_ns if lead else ev.start_ns
                 end = trail.end_ns if trail else ev.end_ns
                 units.append((start, end, "xy"))
@@ -215,7 +234,7 @@ def validate(timeline: PulseTimeline, timing: TimingParams) -> list[str]:
     for ev in events:
         by_channel.setdefault(ev.channel, []).append(ev)
     for channel, evs in by_channel.items():
-        evs.sort(key=lambda e: e.start_ns)
+        evs.sort(key=_START)
         for a, b in zip(evs, evs[1:]):
             if b.start_ns < a.end_ns - _TOL:
                 violations.append(
@@ -223,21 +242,22 @@ def validate(timeline: PulseTimeline, timing: TimingParams) -> list[str]:
                     f"and {b.label} at {_FMT(b.start_ns)} ns")
     buffers = {channel: _buffer_index(evs) for channel, evs in by_channel.items()}
 
-    flux_evs = sorted((ev for ev in events if ev.label == "xy"),
-                      key=lambda e: e.start_ns)
+    flux_evs = sorted((ev for ev in events if ev.label == "xy"), key=_START)
+    lead_trail = {}  # by event id; the timeline keeps its events alive
     for ev in flux_evs:
-        if not all(_lead_trail(buffers[ev.channel], ev)):
+        lead_trail[id(ev)] = found = _lead_trail(buffers[ev.channel], ev)
+        if not all(found):
             violations.append(
                 f"xy flux pulse at {_FMT(ev.start_ns)} ns on {ev.channel} "
                 f"lacks its {timing.buffer_ns:g} ns buffers")
 
-    order = sorted(range(len(events)), key=lambda i: events[i].start_ns)
+    order = sorted(range(len(events)), key=[ev.start_ns for ev in events].__getitem__)
     starts = [events[i].start_ns for i in order]
-    for start, end, kind in _flux_units(by_channel, buffers):
+    for start, end, kind in _flux_units(by_channel, lead_trail):
         # events starting in [end - tol, end + wait - tol), in timeline order
         window = order[bisect_left(starts, end - _TOL):
                        bisect_left(starts, end + wait - _TOL)]
-        for ev in (events[i] for i in sorted(window)):
+        for ev in map(events.__getitem__, sorted(window)):
             if ev.start_ns >= start - _TOL and ev.end_ns <= end + _TOL:
                 continue  # member of this unit
             violations.append(
@@ -260,8 +280,5 @@ def validate(timeline: PulseTimeline, timing: TimingParams) -> list[str]:
 def timeline_to_csv(timeline: PulseTimeline) -> str:
     """CSV form, sorted by start then channel; byte-stable for golden tests."""
     rows = ["channel,start_ns,duration_ns,label"]
-    for ev in sorted(timeline.events,
-                     key=lambda e: (e.start_ns, e.channel, e.label)):
-        rows.append(
-            f"{ev.channel},{_FMT(ev.start_ns)},{_FMT(ev.duration_ns)},{ev.label}")
+    rows += ["%s,%.12g,%.12g,%s" % ev[:4] for ev in sorted(timeline.events, key=_ORDER)]
     return "\n".join(rows) + "\n"

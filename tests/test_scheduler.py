@@ -1,12 +1,13 @@
-import dataclasses
+import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsim.circuits import Circuit, EvolutionParams, Gate, compile_heisenberg, \
-    compile_ising
+from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_from_text, \
+    circuit_to_text, compile_heisenberg, compile_ising
 from spinsim.noise import NoiseParams, gate_duration_ns
 from spinsim.scheduler import (PulseEvent, PulseTimeline, TimingParams,
                                commensurate_padding, schedule, timeline_to_csv,
@@ -60,6 +61,23 @@ def test_phase_period_inverse_detuning():
     t = TimingParams()
     assert t.phase_period_ns == 5.0
     assert t.phase_period_ns * t.detuning_mhz == 1000.0
+
+
+class TestPulseEvent:
+    def test_contract(self):
+        ev = PulseEvent("flux-Q1", 16.0, 6.5, "xy", 3)
+        assert PulseEvent._fields == ("channel", "start_ns", "duration_ns", "label",
+                                      "gate_index")
+        assert ev == PulseEvent(channel="flux-Q1", start_ns=16.0, duration_ns=6.5,
+                                label="xy", gate_index=3)
+        assert PulseEvent("drive-Q1", 0.0, 24.0, "rot_x").gate_index == -1
+        assert ev.end_ns == 22.5
+        assert hash(ev) == hash(PulseEvent(*ev)) and len({ev, PulseEvent(*ev)}) == 1
+        with pytest.raises(AttributeError):
+            ev.start_ns = 0.0
+        moved = ev._replace(start_ns=20.0)
+        assert moved == PulseEvent("flux-Q1", 20.0, 6.5, "xy", 3)
+        assert moved.end_ns == 26.5 and ev.start_ns == 16.0
 
 
 class TestSchedule:
@@ -417,6 +435,40 @@ def test_bump_matches_rescan(a1, a2, rot_start):
     assert [e.start_ns for e in tl.events if e.label == "rot_x"] == [rot_start]
 
 
+@pytest.mark.parametrize("reparse", [False, True], ids=["compiled", "parsed"])
+def test_long_ising_matches_references(reparse):
+    # 500 gates; the parsed copy shares one Gate object per distinct line
+    timing = TimingParams()
+    c = compile_ising(EvolutionParams(np.pi / 2, 50, 3.0))
+    if reparse:
+        c = circuit_from_text(circuit_to_text(c))
+    tl = schedule(c, timing)
+    assert tl == schedule_reference(c, timing)
+    assert validate(tl, timing) == validate_reference(tl, timing) == []
+    # every 37th event 3 ns late: all four kinds of violation
+    late = PulseTimeline(tuple(ev._replace(start_ns=ev.start_ns + 3.0) if i % 37 == 0
+                               else ev for i, ev in enumerate(tl.events)), tl.total_ns)
+    msgs = validate(late, timing)
+    assert msgs and msgs == validate_reference(late, timing)
+
+
+def test_csv_ignores_event_order():
+    tl = schedule(compile_ising(EvolutionParams(np.pi / 2, 50, 3.0)), TimingParams())
+    shuffled = list(tl.events)
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != list(tl.events)
+    assert (timeline_to_csv(PulseTimeline(tuple(shuffled), tl.total_ns))
+            == timeline_to_csv(tl))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 / 3,
+                               123456789012.5, 1e16, -1e-5, math.inf, -math.inf,
+                               math.nan])
+def test_csv_numbers_keep_12_significant_digits(x):
+    tl = PulseTimeline((PulseEvent("drive-Q1", x, x, "rot_x"),), 0.0)
+    assert timeline_to_csv(tl).splitlines()[1] == f"drive-Q1,{x:.12g},{x:.12g},rot_x"
+
+
 def test_post_flux_violations_in_timeline_order():
     # both drive pulses start inside the wait after the unit ending at 38 ns;
     # they are reported in tuple order, not start order
@@ -451,14 +503,13 @@ def perturbed_timelines(draw):
         i = draw(st.integers(0, len(evs) - 1))
         op = draw(st.sampled_from(("shift", "drop", "duplicate", "move")))
         if op == "shift":
-            evs[i] = dataclasses.replace(
-                evs[i], start_ns=evs[i].start_ns + draw(SHIFTS))
+            evs[i] = evs[i]._replace(start_ns=evs[i].start_ns + draw(SHIFTS))
         elif op == "drop":
             del evs[i]
         elif op == "duplicate":
             evs.insert(draw(st.integers(0, len(evs))), evs[i])
         else:
-            evs[i] = dataclasses.replace(evs[i], channel=draw(st.sampled_from(CHANNELS)))
+            evs[i] = evs[i]._replace(channel=draw(st.sampled_from(CHANNELS)))
     if draw(st.booleans()):
         evs = draw(st.permutations(evs))
     return PulseTimeline(tuple(evs), tl.total_ns), timing
