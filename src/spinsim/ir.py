@@ -194,13 +194,16 @@ def circuit_to_text(c: Circuit) -> str:
             v = c.metadata[k]
             parts.append(f"{k}={repr(v) if isinstance(v, float) else v}")
         lines.append("# " + " ".join(parts))
+    text: dict[int, str] = {}  # by gate id; a repeated gate is formatted once
     for g in c.gates:
-        if g.kind == "XY":
-            lines.append(f"XY theta={g.theta!r}")
-        elif g.kind == "ROT":
-            lines.append(f"ROT axis={g.axis} angle={g.angle!r} q={g.qubit}")
-        else:
-            lines.append(f"WAIT ns={g.duration_ns!r}")
+        if id(g) not in text:
+            if g.kind == "XY":
+                text[id(g)] = f"XY theta={g.theta!r}"
+            elif g.kind == "ROT":
+                text[id(g)] = f"ROT axis={g.axis} angle={g.angle!r} q={g.qubit}"
+            else:
+                text[id(g)] = f"WAIT ns={g.duration_ns!r}"
+        lines.append(text[id(g)])
     return "\n".join(lines) + "\n"
 
 
@@ -208,10 +211,16 @@ _META_INT_KEYS = {"n_qubits", "n_steps", "j_sign", "gates_per_step"}
 
 
 def circuit_from_text(text: str) -> Circuit:
-    """Parse the text form produced by circuit_to_text."""
+    """Parse the text form produced by circuit_to_text.
+
+    Repeated gate lines share the one ``Gate`` built for the first of them, so
+    a dumped Trotter circuit comes back with the repeated step it was built
+    from and ``repeated_step`` compares its copies by identity.
+    """
     n_qubits = 2
     metadata: dict = {}
     gates: list[Gate] = []
+    built: dict[str, Gate] = {}  # a repeated gate line gets the Gate built for it
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -235,16 +244,18 @@ def circuit_from_text(text: str) -> Circuit:
                     except ValueError:
                         metadata[k] = v
             continue
-        fields = line.split()
-        kind, kv = fields[0], dict(f.split("=", 1) for f in fields[1:])
-        if kind == "XY":
-            gates.append(Gate.xy(float(kv["theta"])))
-        elif kind == "ROT":
-            gates.append(Gate.rot(kv["axis"], float(kv["angle"]), int(kv["q"])))
-        elif kind == "WAIT":
-            gates.append(Gate.wait(float(kv["ns"])))
-        else:
-            raise ValueError(f"unknown gate line: {line!r}")
+        if line not in built:
+            fields = line.split()
+            kind, kv = fields[0], dict(f.split("=", 1) for f in fields[1:])
+            if kind == "XY":
+                built[line] = Gate.xy(float(kv["theta"]))
+            elif kind == "ROT":
+                built[line] = Gate.rot(kv["axis"], float(kv["angle"]), int(kv["q"]))
+            elif kind == "WAIT":
+                built[line] = Gate.wait(float(kv["ns"]))
+            else:
+                raise ValueError(f"unknown gate line: {line!r}")
+        gates.append(built[line])
     if metadata.get("j_sign", -1) not in (-1, 1):
         raise ValueError(f"j_sign must be +1 or -1, got {metadata['j_sign']}")
     if metadata.get("n_steps", 1) < 1:

@@ -339,19 +339,34 @@ def test_circuit_error_within_trotter_bound(protocol, theta, n, b_over_j, j_sign
     assert err <= bound + 1e-12
 
 
+# The protocols at several sizes, and a hand-built circuit with WAIT gates,
+# signed zeros and a subnormal angle.
+ROUND_TRIP_CIRCUITS = [compiled_circuit(*args) for args in (
+    ("xy", 1.234, 1, 0.0, -1), ("heisenberg", 0.1 + 0.2, 1, 0.0, 1),
+    ("ising", 1.234, 2, 3.0, -1), ("ising", np.pi / 2, 200, -2.5, 1),
+    ("ising", 2.2, 57, 1e-3, -1))] + [
+    Circuit(2, (Gate.wait(12.5), Gate.rot("z", -0.0, 1), Gate.xy(0.1 + 0.2),
+                Gate.rot("z", -0.0, 1), Gate.wait(0.0), Gate.rot("x", -5e-324, 0)),
+            {"protocol": "hand", "b_over_j": -0.0})]
+
+
 class TestSerialization:
     def test_round_trip(self):
-        c = compile_ising(EvolutionParams(1.234, 2, 3.0))
+        # repr writes every float so that it parses back to the same bits
+        for c in ROUND_TRIP_CIRCUITS:
+            c2 = circuit_from_text(circuit_to_text(c))
+            assert c2 == c
+            assert repr(c2.gates) == repr(c.gates)  # -0.0 keeps its sign
+            assert repr(c2.metadata) == repr(dict(sorted(c.metadata.items())))
+
+    def test_repeated_lines_share_one_gate(self):
+        c = compile_ising(EvolutionParams(np.pi / 2, 200, 3.0))
         c2 = circuit_from_text(circuit_to_text(c))
-        assert c2.n_qubits == c.n_qubits
-        assert len(c2.gates) == len(c.gates)
-        for a, b in zip(c.gates, c2.gates):
-            assert a.kind == b.kind and a.axis == b.axis and a.qubit == b.qubit
-            assert a.theta == pytest.approx(b.theta, abs=1e-9)
-            assert a.angle == pytest.approx(b.angle, abs=1e-9)
-        assert c2.metadata["protocol"] == "ising"
-        assert c2.metadata["n_steps"] == 2
-        assert c2.metadata["j_sign"] == -1
+        # one Gate per distinct line: rz on each qubit, xy, and x on each qubit
+        assert len({id(g) for g in c2.gates}) == len(set(c2.gates)) == 5
+        step, n = repeated_step(c2)
+        assert (step, n) == (c.gates[:10], 200)
+        assert all(a is b for a, b in zip(c2.gates, step * n))
 
     def test_gate_line_format(self):
         c = Circuit(2, (Gate.xy(1.5), Gate.rot("y", -0.25, 1), Gate.wait(40.0)))
