@@ -68,13 +68,17 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
 def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
-    The product starts from the identity and puts the first gate rightmost.
-    When ``repeated_step`` finds n > 1 copies of one step, it is the step's
-    product raised to the power n by repeated squaring.
+    The product starts from a copy of the first gate's matrix and puts the
+    first gate rightmost; the empty circuit is a fresh identity.  When
+    ``repeated_step`` finds n > 1 copies of one step, it is the step's product
+    raised to the power n by repeated squaring.  The result is always a new
+    writeable array.
     """
     step, n = repeated_step(c)
-    prod = np.eye(dim, dtype=complex)
-    for g in step:
+    if not step:
+        return np.eye(dim, dtype=complex)
+    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
+    for g in step[1:]:
         prod = matrix_of(g) @ prod
     return prod if n == 1 else np.linalg.matrix_power(prod, n)
 
