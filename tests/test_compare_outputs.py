@@ -47,3 +47,13 @@ def test_tree_agrees_with_itself():
     assert compare_outputs.compare(ROOT, ROOT, [args], log=log.append)
     assert log == [" ".join(args)
                    + ": exit 0 -> 0, stderr equal, 1 identical and 0 changed files"]
+
+
+def test_chain_reschedules_the_long_dump():
+    # the long schedule writes its circuit and timeline, and the reschedule of
+    # that circuit writes the same pair under the "input" tag
+    log = []
+    assert compare_outputs.compare(ROOT, ROOT, [compare_outputs.RESCHEDULE],
+                                   log=log.append)
+    assert log == [" && ".join(" ".join(cmd) for cmd in compare_outputs.RESCHEDULE)
+                   + ": exit 0 -> 0, stderr equal, 4 identical and 0 changed files"]

@@ -5,10 +5,12 @@ Usage: python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 Each invocation runs in each tree through this interpreter with
 ``PYTHONPATH=<tree>/src``, from its own temporary directory and with
 ``--out out``, so file names and messages that name the output directory
-agree.  For every invocation the script prints both exit codes, whether
-stderr is equal, and each output file as identical or changed; a changed file
-shows its count of changed lines and the largest absolute difference between
-the numbers on them.  A line whose text differs outside its numbers, or a
+agree.  An invocation can also be a chain of commands run in turn in one
+directory, such as a long schedule and the reschedule of its circuit dump.
+For every invocation the script prints both exit codes, whether stderr is
+equal, and each output file as identical or changed; a changed file shows
+its count of changed lines and the largest absolute difference between the
+numbers on them.  A line whose text differs outside its numbers, or a
 file that only one tree wrote, counts as an infinite difference.
 
 Exit status: 1 if an exit code or stderr differs, or if any number moves by
@@ -30,8 +32,14 @@ COMMANDS = ("simulate", "trotter-scan", "tomography", "schedule")
 PROTOCOLS = ("xy", "heisenberg", "ising")
 VARIANTS = ((), ("--no-noise",), ("--n-steps", "5", "--j-sign", "1", "--b-over-j", "-2.5"),
             ("--thetas", "0"), ("--thetas", "5e-324"))
+# the pulse benchmark's long circuit, and its dump parsed back and rescheduled
+LONG_ISING = ("schedule", "--protocol", "ising", "--n-steps", "200",
+              "--thetas", "1.5707963267948966")
+RESCHEDULE = (LONG_ISING, ("schedule", "--protocol", "ising",
+                           "--circuit-in", "out/ising_theta000_circuit.txt"))
 INVOCATIONS = tuple((cmd, "--protocol", p) + v
-                    for v in VARIANTS for cmd in COMMANDS for p in PROTOCOLS)
+                    for v in VARIANTS for cmd in COMMANDS for p in PROTOCOLS
+                    ) + (LONG_ISING, RESCHEDULE)
 
 # a number not glued to a preceding word, so "theta000" stays text
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -81,12 +89,26 @@ def diff_dirs(old: Path, new: Path) -> dict[str, tuple[int, float]]:
     return out
 
 
-def run(tree: Path, args: tuple[str, ...], workdir: Path) -> tuple[int, str]:
-    """Run ``spinsim args --out out`` from ``tree``'s source in ``workdir``."""
+def commands(args: tuple) -> tuple[tuple[str, ...], ...]:
+    """The commands of an invocation: one argument tuple, or a chain of them."""
+    return args if isinstance(args[0], tuple) else (args,)
+
+
+def run(tree: Path, args: tuple, workdir: Path) -> tuple[int, str]:
+    """Run ``spinsim args --out out`` from ``tree``'s source in ``workdir``.
+
+    A chain runs its commands in turn until one exits nonzero; the result is
+    the last exit code and the stderr of every command run.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
-    proc = subprocess.run([sys.executable, "-m", "spinsim", *args, "--out", "out"],
-                          cwd=workdir, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stderr
+    code, err = 0, ""
+    for cmd in commands(args):
+        proc = subprocess.run([sys.executable, "-m", "spinsim", *cmd, "--out", "out"],
+                              cwd=workdir, env=env, capture_output=True, text=True)
+        code, err = proc.returncode, err + proc.stderr
+        if code:
+            break
+    return code, err
 
 
 def compare(old_tree: Path, new_tree: Path, invocations=INVOCATIONS, log=print) -> bool:
@@ -106,7 +128,8 @@ def compare(old_tree: Path, new_tree: Path, invocations=INVOCATIONS, log=print) 
         worst = max((d for _, d in files.values()), default=0.0)
         ok = ok and same and worst <= TOL
         changed = sum(n > 0 for n, _ in files.values())
-        log(f"{' '.join(args)}: exit {codes[0]} -> {codes[1]}, stderr "
+        label = " && ".join(" ".join(cmd) for cmd in commands(args))
+        log(f"{label}: exit {codes[0]} -> {codes[1]}, stderr "
             f"{'equal' if errs[0] == errs[1] else 'DIFFERS'}, "
             f"{len(files) - changed} identical and {changed} changed files")
         for name, (n, d) in files.items():
