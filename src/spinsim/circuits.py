@@ -24,14 +24,20 @@ product of its gates' matrices, which the caller applies to the state.  When
 ``ir.repeated_step`` finds a circuit whose gates are exactly ``n_steps``
 copies of one step, as ``compile_ising`` builds them, only one step is
 multiplied out and the product is raised to the power n by repeated squaring,
-so a circuit costs one step plus O(log n) matrix products.  ``gate_unitary``
-is cached and returns read-only arrays.
+so a circuit costs one step plus O(log n) matrix products.  The compilers
+repeat one object per distinct gate, and ``circuit_matrix`` calls
+``matrix_of`` once per distinct gate object of the step.  ``gate_unitary``
+is cached and returns read-only arrays.  Given many circuits,
+``circuit_unitary`` multiplies out each group of equal (step length, n) as
+stacks, with the same matmuls and so the same bits as one circuit at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -65,28 +71,64 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
     return u
 
 
+def _step_power(step, matrix_of, n: int) -> np.ndarray:
+    """(matrix_of(step[-1]) @ ... @ matrix_of(step[0])) ** n, a new array.
+
+    ``matrix_of`` is called once per distinct object of the step; it may
+    return cached read-only arrays, or equal-shaped stacks of matrices.
+    """
+    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
+    resolved = {id(step[0]): prod}
+    for g in step[1:]:
+        m = resolved.get(id(g))
+        if m is None:
+            m = resolved[id(g)] = matrix_of(g)
+        prod = m @ prod
+    return prod if n == 1 else np.linalg.matrix_power(prod, n)
+
+
 def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
     The product starts from a copy of the first gate's matrix and puts the
     first gate rightmost; the empty circuit is a fresh identity.  When
     ``repeated_step`` finds n > 1 copies of one step, it is the step's product
-    raised to the power n by repeated squaring.  The result is always a new
+    raised to the power n by repeated squaring.  ``matrix_of`` is called once
+    per distinct gate object of the step.  The result is always a new
     writeable array.
     """
     step, n = repeated_step(c)
     if not step:
         return np.eye(dim, dtype=complex)
-    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
-    for g in step[1:]:
-        prod = matrix_of(g) @ prod
-    return prod if n == 1 else np.linalg.matrix_power(prod, n)
+    return _step_power(step, matrix_of, n)
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Ordered product of the gate unitaries: first gate applied first."""
-    j_sign = int(c.metadata.get("j_sign", -1))
-    return circuit_matrix(c, lambda g: gate_unitary(g, j_sign), 4)
+def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
+    """Ordered product of the gate unitaries: first gate applied first.
+
+    One circuit gives its 4x4 unitary.  An iterable of T circuits gives the
+    (T, 4, 4) stack of theirs, each bit for bit its single call's: the
+    circuits of equal (step length, n) are multiplied out together, each
+    step position as one stack of gate matrices.  Only each circuit's step
+    matrices are kept while the iterable runs, so a generator of long
+    circuits stays flat in memory.
+    """
+    if isinstance(circuits, Circuit):
+        j_sign = int(circuits.metadata.get("j_sign", -1))
+        return circuit_matrix(circuits, lambda g: gate_unitary(g, j_sign), 4)
+    # (step length, n) -> (indices into the result, each circuit's step matrices)
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    for i, c in enumerate(circuits):
+        step, n = repeated_step(c)
+        index, mats = groups.setdefault((len(step), n), ([], []))
+        index.append(i)
+        # a cache hit per gate, in C, costs less than finding repeats in Python
+        mats.append(list(map(gate_unitary, step, repeat(int(c.metadata.get("j_sign", -1))))))
+    out = np.empty((sum(len(index) for index, _ in groups.values()), 4, 4), dtype=complex)
+    for (length, n), (index, mats) in groups.items():
+        # each step position as a stack of one matrix per circuit
+        out[index] = _step_power(list(zip(*mats)), np.array, n) if length else np.eye(4)
+    return out
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -13,10 +13,13 @@ protocol.
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
 
-``simulate`` and ``trotter-scan`` compile and run one circuit per grid point,
-keeping only its state, then analyse the whole grid in stacked calls: the
-exact states from one eigendecomposition of the model Hamiltonian, and the
-observables, negativities and fidelities as arrays.  So a failure of the
+``simulate`` and ``trotter-scan`` compile one circuit per grid point and feed
+them, one at a time, to one stacked ``circuit_unitary`` call, which keeps only
+each circuit's step matrices; each circuit's noisy state is computed as it
+passes.
+They then analyse the whole grid in stacked calls: the exact states from one
+eigendecomposition of the model Hamiltonian, and the observables,
+negativities and fidelities as arrays.  So a failure of the
 exact evolution shows after the grid's circuits have run, and names its theta.
 ``tomography`` analyses each circuit as it runs.
 
@@ -33,6 +36,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 from .device import F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity
@@ -334,6 +338,24 @@ def _observables(states) -> np.ndarray:
     return np.column_stack([vals, negativity(rho)])
 
 
+def _states(circuits, noise: NoiseParams | None, psi0, rho0) -> tuple:
+    """The circuits' ideal kets, from one stacked ``circuit_unitary`` call, and
+    their noisy states (none without noise).
+
+    Each circuit is simulated with noise as the call takes it in, after its
+    gate unitaries are looked up, so no circuit is kept once it has run.
+    """
+    rhos = []
+
+    def run_noisy():
+        for circ in circuits:
+            yield circ
+            if noise is not None:
+                rhos.append(simulate_noisy(circ, noise, rho0))
+
+    return np.matvec(circuit_unitary(run_noisy()), psi0), rhos
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     _bind_numerics()
     h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
@@ -342,12 +364,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     header = ["theta", *_OBS_COLS, "fid_vs_exact"]
     if cfg.noise is not None:
         header += [f"noisy_{k}" for k in _OBS_COLS] + ["noisy_fid_vs_exact"]
-    kets, rhos = [], []
-    for theta in cfg.theta_grid:
-        circ = build_circuit(cfg, theta)
-        kets.append(circuit_unitary(circ) @ psi0)
-        if cfg.noise is not None:
-            rhos.append(simulate_noisy(circ, cfg.noise, rho0))
+    kets, rhos = _states((build_circuit(cfg, theta) for theta in cfg.theta_grid),
+                         cfg.noise, psi0, rho0)
     psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)
     cols = [_observables(psi_exact), state_fidelity(kets, psi_exact)]
     if cfg.noise is not None:
@@ -362,16 +380,11 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
     psi0 = replace(cfg, protocol="ising").psi0()
     rho0 = np.outer(psi0, psi0.conj())
-    kets, rhos = [], []
-    for theta in cfg.theta_grid:
-        # every n compiles before any runs: an overflowing field angle is a
-        # config error
-        circuits = [_compile(compile_ising, EvolutionParams(theta, n, cfg.b_over_j),
-                             cfg.j_sign) for n in cfg.n_list]
-        for circ in circuits:
-            kets.append(circuit_unitary(circ) @ psi0)
-            if cfg.noise is not None:
-                rhos.append(simulate_noisy(circ, cfg.noise, rho0))
+    # every n of a theta compiles before any runs: an overflowing field angle
+    # is a config error
+    per_theta = ([_compile(compile_ising, EvolutionParams(theta, n, cfg.b_over_j), cfg.j_sign)
+                  for n in cfg.n_list] for theta in cfg.theta_grid)
+    kets, rhos = _states(chain.from_iterable(per_theta), cfg.noise, psi0, rho0)
     psi_exact = np.repeat(exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0),
                           len(cfg.n_list), axis=0)
     fid_ideal = state_fidelity(kets, psi_exact).tolist()

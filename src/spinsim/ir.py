@@ -8,8 +8,12 @@ engine live in ``circuits``.  Every circuit acts on the two-qubit register;
 ``compile_ising`` are the one definition of each protocol's gate sequence.
 
 ``XY(theta)`` is the exchange gate at quantum phase angle theta = 2|J|tau and
-``ROT(a, phi, q)`` = exp(-i phi sigma_a / 2) on qubit q; ``circuits`` pins
-their matrices.
+``ROT(a, phi, q)`` = exp(-i phi sigma_a / 2) on qubit q in {0, 1};
+``circuits`` pins their matrices.  A ``Gate`` is a checked ``NamedTuple``, so
+the gate caches hash and compare it in C.  The compilers build one object per
+distinct gate and repeat it, within a step and across steps, as the text
+parser does for repeated lines; ``circuits.circuit_matrix`` resolves each
+object once per call.
 
 The Heisenberg compilation conjugates the exchange gate into the XZ and YZ
 bases with x/y rotations by +-pi/2; the basis-change signs are fixed here so
@@ -29,50 +33,69 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate event: kind is "XY", "ROT" or "WAIT"."""
-
+class _GateFields(NamedTuple):
     kind: str
     theta: float = 0.0        # XY: quantum phase angle 2|J|tau, >= 0
     axis: str = ""            # ROT: "x" | "y" | "z"
     angle: float = 0.0        # ROT: rotation angle in radians
-    qubit: int = 0            # ROT: target qubit
+    qubit: int = 0            # ROT: target qubit, 0 or 1
     duration_ns: float = 0.0  # WAIT: idle time
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.angle)
-                and math.isfinite(self.duration_ns)):
+
+class Gate(_GateFields):
+    """One gate event: kind is "XY", "ROT" or "WAIT".
+
+    A ``NamedTuple``, so hashing and ``==`` (the gate caches' keys) run in C;
+    a gate equals the plain tuple of its fields.  Construction, ``_make``,
+    ``_replace`` and unpickling all run the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, theta: float = 0.0, axis: str = "", angle: float = 0.0,
+                qubit: int = 0, duration_ns: float = 0.0):
+        if not (math.isfinite(theta) and math.isfinite(angle)
+                and math.isfinite(duration_ns)):
             raise ValueError("gate angles and durations must be finite")
-        if self.kind == "XY":
-            if self.theta < 0:
+        if kind == "XY":
+            if theta < 0:
                 raise ValueError("XY phase angle must be non-negative")
-        elif self.kind == "ROT":
-            if self.axis not in ("x", "y", "z"):
-                raise ValueError(f"unknown rotation axis {self.axis!r}")
-            if self.qubit < 0:
-                raise ValueError("qubit index must be non-negative")
-        elif self.kind == "WAIT":
-            if self.duration_ns < 0:
+        elif kind == "ROT":
+            if axis not in ("x", "y", "z"):
+                raise ValueError(f"unknown rotation axis {axis!r}")
+            if qubit not in (0, 1):
+                raise ValueError("qubit index must be non-negative" if qubit < 0
+                                 else f"gate targets qubit {qubit} of 2")
+        elif kind == "WAIT":
+            if duration_ns < 0:
                 raise ValueError("wait duration must be non-negative")
         else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {kind!r}")
+        return super().__new__(cls, kind, theta, axis, angle, qubit, duration_ns)
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @classmethod
     def xy(cls, theta: float) -> "Gate":
-        return cls(kind="XY", theta=theta)
+        return cls("XY", theta)
 
     @classmethod
     def rot(cls, axis: str, angle: float, qubit: int) -> "Gate":
-        return cls(kind="ROT", axis=axis, angle=angle, qubit=qubit)
+        return cls("ROT", 0.0, axis, angle, qubit)
 
     @classmethod
     def wait(cls, duration_ns: float) -> "Gate":
-        return cls(kind="WAIT", duration_ns=duration_ns)
+        return cls("WAIT", duration_ns=duration_ns)
 
 
 @dataclass(frozen=True)
@@ -86,9 +109,6 @@ class Circuit:
     def __post_init__(self):
         if self.n_qubits != 2:
             raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits}")
-        for g in self.gates:
-            if g.kind == "ROT" and g.qubit >= 2:
-                raise ValueError(f"gate targets qubit {g.qubit} of 2")
 
 
 @dataclass(frozen=True)
@@ -133,12 +153,13 @@ def compile_heisenberg(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     unitary equals exp(-i J (XX + YY + ZZ) theta/2) with J = j_sign.
     """
     th = params.theta
-    gates: list[Gate] = [Gate.xy(th)]
+    xy = Gate.xy(th)
+    gates: list[Gate] = [xy]
     for axis in ("x", "y"):
         gates += [
             Gate.rot(axis, -HALF_PI, 0),
             Gate.rot(axis, -HALF_PI, 1),
-            Gate.xy(th),
+            xy,
             Gate.rot(axis, HALF_PI, 0),
             Gate.rot(axis, HALF_PI, 1),
         ]
@@ -167,14 +188,9 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     phi_half = j_sign * params.b_over_j * th / (4.0 * n)
     field_half = ((Gate.rot("z", phi_half, 0), Gate.rot("z", phi_half, 1))
                   if phi_half != 0.0 else ())
-    step = (*field_half,
-            Gate.xy(step_theta),
-            Gate.rot("x", math.pi, 0),
-            Gate.rot("x", math.pi, 1),
-            Gate.rot("x", math.pi, 1),
-            Gate.xy(step_theta),
-            Gate.rot("x", math.pi, 0),
-            *field_half)
+    # one object per distinct gate, so each is looked up once per step
+    xy, x0, x1 = Gate.xy(step_theta), Gate.rot("x", math.pi, 0), Gate.rot("x", math.pi, 1)
+    step = (*field_half, xy, x0, x1, x1, xy, x0, *field_half)
     meta = {"protocol": "ising", "theta": th, "n_steps": n,
             "b_over_j": params.b_over_j, "j_sign": j_sign,
             "gates_per_step": len(step)}

@@ -1,3 +1,7 @@
+import pickle
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +12,11 @@ from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                               compile_heisenberg, compile_ising, compile_xy,
                               gate_unitary, phase_distance, repeated_step,
                               trotter_fidelity)
+from spinsim.device import TimingParams
 from spinsim.hamiltonians import (SpinModelSpec, build_heisenberg, build_ising,
                                   build_xy, exact_evolve, oracle_hamiltonian)
 from spinsim.linalg import SX, SZ, herm_expm, kron, op_on_qubit
+from spinsim.scheduler import schedule, timeline_to_csv
 
 from conftest import (FIG2, FIG3, ISWAP, SQRT_ISWAP, SWAP, compiled_circuit,
                       misleading_circuits)
@@ -63,6 +69,88 @@ class TestGateUnitary:
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             Gate.xy(-0.1)
+
+
+# invalid gates: a valid gate and the fields that break it
+BAD_GATES = [
+    pytest.param(Gate.xy(1.0), {"theta": -1.0}, id="xy-negative-theta"),
+    pytest.param(Gate.rot("x", 1.0, 1), {"axis": "q"}, id="rot-unknown-axis"),
+    pytest.param(Gate.rot("x", 1.0, 1), {"qubit": 2}, id="rot-qubit-2"),
+    pytest.param(Gate.rot("x", 1.0, 1), {"qubit": -1}, id="rot-qubit-negative"),
+    pytest.param(Gate.rot("x", 1.0, 1), {"angle": float("nan")}, id="rot-nan-angle"),
+    pytest.param(Gate.wait(5.0), {"duration_ns": -1.0}, id="wait-negative"),
+    pytest.param(Gate.wait(5.0), {"duration_ns": float("inf")}, id="wait-inf"),
+    pytest.param(Gate.xy(1.0), {"kind": "SWAP"}, id="unknown-kind"),
+]
+
+
+class TestGateContract:
+    def test_fields_defaults_and_construction_order(self):
+        assert Gate._fields == ("kind", "theta", "axis", "angle", "qubit", "duration_ns")
+        assert Gate._field_defaults == {"theta": 0.0, "axis": "", "angle": 0.0,
+                                        "qubit": 0, "duration_ns": 0.0}
+        g = Gate.rot("y", 0.5, 1)
+        assert g == Gate("ROT", 0.0, "y", 0.5, 1, 0.0) == Gate(
+            kind="ROT", axis="y", angle=0.5, qubit=1)
+        assert Gate.xy(2.0) == Gate("XY", 2.0) and Gate.wait(3.0) == Gate("WAIT",
+                                                                          duration_ns=3.0)
+        assert (g.kind, g.theta, g.axis, g.angle, g.qubit, g.duration_ns) == tuple(g)
+        assert repr(g) == ("Gate(kind='ROT', theta=0.0, axis='y', angle=0.5, qubit=1, "
+                           "duration_ns=0.0)")
+
+    def test_immutable_and_hashable(self):
+        g = Gate.xy(1.0)
+        with pytest.raises(AttributeError):
+            g.theta = 2.0
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        assert hash(g) == hash(Gate.xy(1.0)) and {g, Gate.xy(1.0)} == {g}
+        # a gate equals the plain tuple of its fields
+        assert g == ("XY", 1.0, "", 0.0, 0, 0.0)
+
+    @pytest.mark.parametrize("valid, change", BAD_GATES)
+    def test_every_way_of_building_checks(self, valid, change):
+        fields = {**valid._asdict(), **change}
+        for build in (lambda: Gate(*fields.values()), lambda: Gate(**fields),
+                      lambda: Gate._make(fields.values()), lambda: valid._replace(**change)):
+            with pytest.raises(ValueError):
+                build()
+
+    def test_replace_and_make_build_valid_gates(self):
+        g = Gate.rot("x", 1.0, 0)._replace(qubit=1)
+        assert type(g) is Gate and g == Gate.rot("x", 1.0, 1)
+        assert Gate._make(tuple(g)) == g and type(Gate._make(tuple(g))) is Gate
+        with pytest.raises(ValueError, match="unexpected field"):
+            g._replace(qbit=1)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_checks(self, protocol):
+        g = Gate.xy(1.5)
+        data = pickle.dumps(g, protocol)
+        back = pickle.loads(data)
+        assert back == g and type(back) is Gate
+        # the same bytes with theta = -1.5 fail the check when loaded
+        old, new = ((b"F1.5", b"F-1.5") if protocol == 0
+                    else (struct.pack(">d", 1.5), struct.pack(">d", -1.5)))
+        assert data.count(old) == 1
+        with pytest.raises(ValueError, match="non-negative"):
+            pickle.loads(data.replace(old, new))
+
+    def test_equal_gates_share_one_cache_entry(self):
+        a, b = Gate.rot("y", 0.123456789, 1), Gate.rot("y", 0.123456789, 1)
+        assert a is not b
+        before = gate_unitary.cache_info()
+        assert gate_unitary(a) is gate_unitary(b)
+        after = gate_unitary.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_qubit_range_is_checked_by_the_gate(self):
+        with pytest.raises(ValueError, match="targets qubit 2 of 2"):
+            Gate.rot("x", 1.0, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            Gate.rot("z", 1.0, -1)
+        # only a rotation targets a qubit
+        assert Gate("XY", 1.0, qubit=5).qubit == 5
 
 
 @pytest.mark.parametrize("make", [
@@ -169,6 +257,37 @@ def test_circuit_unitary_returns_fresh_writeable_array(c):
     expected = v.copy()
     u[...] = 0.0
     assert np.array_equal(circuit_unitary(c), expected)
+
+
+# one drawn circuit: a compiled protocol (ising with n up to 25), its dump
+# parsed back, or the empty circuit
+angles = st.sampled_from((0.0, 5e-324)) | st.floats(min_value=0.0, max_value=4 * np.pi)
+compiled_circuits = st.builds(compiled_circuit, st.sampled_from(("xy", "heisenberg", "ising")),
+                              angles, st.integers(min_value=1, max_value=25),
+                              st.just(0.0) | st.floats(min_value=-5.0, max_value=5.0),
+                              st.sampled_from((-1, 1)))
+mixed_circuits = st.lists(
+    compiled_circuits
+    | compiled_circuits.map(lambda c: circuit_from_text(circuit_to_text(c)))
+    | st.just(Circuit(2, ())), min_size=1, max_size=8)
+
+
+@settings(deadline=None)
+@given(cs=mixed_circuits)
+def test_stacked_unitaries_are_the_single_calls(cs):
+    stack = circuit_unitary(cs)
+    assert stack.shape == (len(cs), 4, 4) and stack.flags.writeable
+    for c, u in zip(cs, stack):
+        assert u.tobytes() == circuit_unitary(c).tobytes()
+        assert np.max(np.abs(u - per_gate_unitary(c))) <= 1e-12
+    assert circuit_unitary(c for c in cs).tobytes() == stack.tobytes()
+    single, again = circuit_unitary(cs[0]), circuit_unitary(cs[0])
+    assert single.shape == (4, 4) and single.flags.writeable
+    assert not np.shares_memory(single, again)
+
+
+def test_no_circuits_give_an_empty_stack():
+    assert circuit_unitary([]).shape == (0, 4, 4)
 
 
 def test_compile_xy_matches_exchange_oracle():
@@ -367,6 +486,34 @@ class TestSerialization:
         step, n = repeated_step(c2)
         assert (step, n) == (c.gates[:10], 200)
         assert all(a is b for a, b in zip(c2.gates, step * n))
+
+    @pytest.mark.parametrize("theta, b_over_j, distinct", [
+        (np.pi / 2, 3.0, 5), (np.pi / 2, 0.0, 3), (0.0, 3.0, 3), (1.1, -2.5, 5)])
+    def test_ising_step_shares_its_gate_objects(self, theta, b_over_j, distinct):
+        c = compile_ising(EvolutionParams(theta, 2, b_over_j))
+        c2 = circuit_from_text(circuit_to_text(c))
+        for circ in (c, c2):
+            step, n = repeated_step(circ)
+            assert n == 2 and len({id(g) for g in step}) == distinct
+            assert all(a is b for a, b in zip(circ.gates, step * n))
+        # the same pattern of shared objects, gate by gate
+        first = [[next(i for i, h in enumerate(circ.gates) if h is g) for g in circ.gates]
+                 for circ in (c, c2)]
+        assert first[0] == first[1]
+        assert repeated_step(c2) == repeated_step(c)
+        # sharing does not change a dump: fresh objects per gate dump the same
+        unshared = Circuit(2, tuple(Gate(*g) for g in c.gates), c.metadata)
+        assert circuit_to_text(unshared) == circuit_to_text(c)
+
+    def test_shared_dump_reschedules_to_the_golden_timeline(self):
+        c = circuit_from_text(circuit_to_text(compile_ising(EvolutionParams(np.pi / 2, 2, 3.0))))
+        golden = Path(__file__).parent / "golden" / "ising_theta_pi2_n2_timeline.csv"
+        assert timeline_to_csv(schedule(c, TimingParams())) == golden.read_text()
+
+    def test_heisenberg_reuses_its_one_xy_gate(self):
+        c = compile_heisenberg(EvolutionParams(0.7))
+        xys = [g for g in c.gates if g.kind == "XY"]
+        assert len(xys) == 3 and all(g is xys[0] for g in xys)
 
     def test_gate_line_format(self):
         c = Circuit(2, (Gate.xy(1.5), Gate.rot("y", -0.25, 1), Gate.wait(40.0)))

@@ -331,6 +331,7 @@ BAD_CIRCUITS = {
     "j-sign-5.txt": "# n_qubits=2 j_sign=5\nXY theta=1.0\n",
     "n-steps-0.txt": "# n_qubits=2 n_steps=0\nXY theta=1.0\n",
     "n-steps-negative.txt": "# n_qubits=2 n_steps=-3\nXY theta=1.0\n",
+    "qubit-2.txt": "# n_qubits=2\nROT axis=x angle=1.0 q=2\n",
 }
 
 
@@ -386,6 +387,8 @@ BAD_CIRCUITS = {
                  id="circuit-in-n-steps-0"),
     pytest.param("schedule", {}, ["--circuit-in", "n-steps-negative.txt"],
                  id="circuit-in-n-steps-negative"),
+    pytest.param("schedule", {}, ["--circuit-in", "qubit-2.txt"],
+                 id="circuit-in-qubit-2"),
     pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],
                  id="n_steps-fractional"),
     pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),
@@ -497,13 +500,17 @@ def test_exact_evolution_failure_names_theta(tmp_path, capsys):
 
 
 def test_tomography_resolves_each_circuit_once(tmp_path):
-    """The 16 tomography inputs and the report row reuse one composed superoperator."""
-    gates = len(build_circuit(load_config(None, {"protocol": "heisenberg"}), 0.7).gates)
+    """The 16 tomography inputs and the report row reuse one composed
+    superoperator, which looks up each distinct gate object once: the
+    circuit's 11 gates repeat one XY gate three times."""
+    circ = build_circuit(load_config(None, {"protocol": "heisenberg"}), 0.7)
+    distinct = len({id(g) for g in circ.gates})
     lookups = spinsim.noise._gate_superop.cache_info
     before = lookups().hits + lookups().misses
     assert main(["tomography", "--protocol", "heisenberg", "--thetas", "0.7",
                  "--out", str(tmp_path)]) == 0
-    assert lookups().hits + lookups().misses - before == gates == 11
+    assert lookups().hits + lookups().misses - before == distinct == 9
+    assert len(circ.gates) == 11
 
 
 def test_numerical_error_exits_3(tmp_path, monkeypatch, capsys):

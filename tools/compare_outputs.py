@@ -37,9 +37,15 @@ LONG_ISING = ("schedule", "--protocol", "ising", "--n-steps", "200",
               "--thetas", "1.5707963267948966")
 RESCHEDULE = (LONG_ISING, ("schedule", "--protocol", "ising",
                            "--circuit-in", "out/ising_theta000_circuit.txt"))
+# stacked ideal unitaries: a scan whose grid splits into several (step length,
+# n) groups, a field-free ising grid, and long circuits fed one at a time
+STACKED = (("trotter-scan", "--protocol", "ising", "--thetas", "0,0.7,2.5",
+            "--n-list", "1,4,7"),
+           ("simulate", "--protocol", "ising", "--thetas", "0,1.1,3.0", "--b-over-j", "0"),
+           ("simulate", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"))
 INVOCATIONS = tuple((cmd, "--protocol", p) + v
                     for v in VARIANTS for cmd in COMMANDS for p in PROTOCOLS
-                    ) + (LONG_ISING, RESCHEDULE)
+                    ) + (LONG_ISING, RESCHEDULE) + STACKED
 
 # a number not glued to a preceding word, so "theta000" stays text
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
