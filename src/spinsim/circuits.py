@@ -71,22 +71,6 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
     return u
 
 
-def _step_power(step, matrix_of, n: int) -> np.ndarray:
-    """(matrix_of(step[-1]) @ ... @ matrix_of(step[0])) ** n, a new array.
-
-    ``matrix_of`` is called once per distinct object of the step; it may
-    return cached read-only arrays, or equal-shaped stacks of matrices.
-    """
-    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
-    resolved = {id(step[0]): prod}
-    for g in step[1:]:
-        m = resolved.get(id(g))
-        if m is None:
-            m = resolved[id(g)] = matrix_of(g)
-        prod = m @ prod
-    return prod if n == 1 else np.linalg.matrix_power(prod, n)
-
-
 def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
@@ -100,7 +84,14 @@ def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     step, n = repeated_step(c)
     if not step:
         return np.eye(dim, dtype=complex)
-    return _step_power(step, matrix_of, n)
+    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
+    resolved = {id(step[0]): prod}
+    for g in step[1:]:
+        m = resolved.get(id(g))
+        if m is None:
+            m = resolved[id(g)] = matrix_of(g)
+        prod = m @ prod
+    return prod if n == 1 else np.linalg.matrix_power(prod, n)
 
 
 def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
@@ -124,10 +115,17 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
         index.append(i)
         # a cache hit per gate, in C, costs less than finding repeats in Python
         mats.append(list(map(gate_unitary, step, repeat(int(c.metadata.get("j_sign", -1))))))
-    out = np.empty((sum(len(index) for index, _ in groups.values()), 4, 4), dtype=complex)
+    total = sum(len(index) for index, _ in groups.values())
+    out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():
-        # each step position as a stack of one matrix per circuit
-        out[index] = _step_power(list(zip(*mats)), np.array, n) if length else np.eye(4)
+        if length:  # an empty circuit keeps its identity
+            # circuit_matrix's product, with each step position as a stack of
+            # one matrix per circuit
+            positions = zip(*mats)
+            prod = np.array(next(positions))
+            for pos in positions:
+                prod = np.array(pos) @ prod
+            out[index] = prod if n == 1 else np.linalg.matrix_power(prod, n)
     return out
 
 
