@@ -17,7 +17,7 @@ _EXPORTS = {
                   "timeline_to_csv", "validate"),
     "circuits": ("circuit_unitary", "gate_unitary", "phase_distance", "trotter_fidelity"),
     "hamiltonians": ("SpinModelSpec", "build_hamiltonian", "build_heisenberg",
-                     "build_ising", "build_xy", "dominant_angular_frequency",
+                     "build_ising", "dominant_angular_frequency",
                      "exact_evolve", "oracle_hamiltonian"),
     "linalg": ("herm_expm", "kron", "partial_transpose"),
     "noise": ("decoherence_kraus", "simulate_noisy", "zz_error_unitary"),

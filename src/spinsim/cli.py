@@ -485,7 +485,8 @@ def _overrides(args) -> dict:
     for key, flag in (("theta_grid", "thetas"), ("n_list", "n_list")):
         if getattr(args, flag, None) is not None:
             ov[key] = getattr(args, flag).split(",")
-    if args.no_noise:
+    # schedule has no noise model: it reads its timings from the noise block
+    if args.no_noise and args.command != "schedule":
         ov["noise"] = "off"
     return ov
 

@@ -110,12 +110,6 @@ class NoiseParams:
                 and math.isfinite(self.crosstalk_phase_deg)):
             raise ValueError("error angles must be finite")
 
-    @classmethod
-    def off(cls) -> "NoiseParams":
-        return cls(t1_us=(math.inf, math.inf), t2_us=(math.inf, math.inf),
-                   jz_tilde_angle_deg=0.0, crosstalk_phase_deg=0.0,
-                   single_qubit_fidelity=1.0)
-
 
 def _step_z_fraction(gate: Gate, metadata: dict) -> float:
     """Fraction of one Trotter step's z rotation carried by this gate."""

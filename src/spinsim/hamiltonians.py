@@ -1,8 +1,12 @@
 """Two-spin Hamiltonians and the exact-evolution oracle.
 
-The XY, anisotropic-Heisenberg and transverse-field-Ising builders are fixed
-Pauli sums on the two-spin register; ``oracle_hamiltonian`` picks the one a
-protocol simulates.
+The XY, anisotropic-Heisenberg and transverse-field-Ising models are one
+two-spin exchange Hamiltonian,
+
+    H = Jx X1X2 + Jy Y1Y2 + Jz Z1Z2 + (B/2)(Z1 + Z2),   Jk = j_sign * jk,
+
+with different couplings; ``SpinModelSpec``'s constructors name the three,
+and ``oracle_hamiltonian`` picks the one a protocol simulates.
 
 Couplings and fields are dimensionless, in units of the exchange-coupling
 magnitude |J|.  Evolution times are phase times: evolving for t = theta/2
@@ -18,18 +22,19 @@ import numpy as np
 
 from .linalg import ID2, SX, SY, SZ, herm_expm, kron
 
-VALID_KINDS = ("XY", "XYZ", "ISING")
+# the four Pauli products of the formula: X1X2, Y1Y2, Z1Z2 and Z1 + Z2
+_XX, _YY, _ZZ = kron(SX, SX), kron(SY, SY), kron(SZ, SZ)
+_Z_TOTAL = kron(SZ, ID2) + kron(ID2, SZ)
 
 
 @dataclass(frozen=True)
 class SpinModelSpec:
-    """Which two-spin model to build, with couplings in units of |J|.
+    """The two-spin model's couplings and field, in units of |J|.
 
     ``j_sign`` carries the sign of the device exchange coupling and
     multiplies jx/jy/jz; the field ``b`` is signed as given.
     """
 
-    kind: str
     jx: float = 1.0
     jy: float = 0.0
     jz: float = 0.0
@@ -37,57 +42,33 @@ class SpinModelSpec:
     j_sign: int = -1
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
         if self.j_sign not in (-1, 1):
             raise ValueError("j_sign must be +1 or -1")
-        if self.kind == "ISING" and (self.jy != 0.0 or self.jz != 0.0):
-            raise ValueError("ISING model has jy = jz = 0")
 
     @classmethod
     def xy(cls, jx: float = 1.0, j_sign: int = -1) -> "SpinModelSpec":
-        return cls(kind="XY", jx=jx, j_sign=j_sign)
+        """(J/2)(X1X2 + Y1Y2), J = j_sign * jx."""
+        return cls(jx=jx / 2.0, jy=jx / 2.0, j_sign=j_sign)
 
     @classmethod
     def heisenberg(cls, jx: float, jy: float, jz: float,
                    j_sign: int = -1) -> "SpinModelSpec":
-        return cls(kind="XYZ", jx=jx, jy=jy, jz=jz, j_sign=j_sign)
+        return cls(jx=jx, jy=jy, jz=jz, j_sign=j_sign)
 
     @classmethod
     def ising(cls, jx: float = 1.0, b: float = 0.0, j_sign: int = -1) -> "SpinModelSpec":
-        return cls(kind="ISING", jx=jx, b=b, j_sign=j_sign)
-
-
-def build_xy(spec: SpinModelSpec) -> np.ndarray:
-    """(J/2)(X1X2 + Y1Y2), J = j_sign * jx."""
-    if spec.kind != "XY":
-        raise ValueError(f"build_xy needs kind XY, got {spec.kind}")
-    j = spec.j_sign * spec.jx
-    return (j / 2.0) * (kron(SX, SX) + kron(SY, SY))
-
-
-def build_heisenberg(spec: SpinModelSpec) -> np.ndarray:
-    """Jx X1X2 + Jy Y1Y2 + Jz Z1Z2, Jk = j_sign * jk."""
-    if spec.kind != "XYZ":
-        raise ValueError(f"build_heisenberg needs kind XYZ, got {spec.kind}")
-    jx, jy, jz = (spec.j_sign * spec.jx, spec.j_sign * spec.jy, spec.j_sign * spec.jz)
-    return jx * kron(SX, SX) + jy * kron(SY, SY) + jz * kron(SZ, SZ)
-
-
-def build_ising(spec: SpinModelSpec) -> np.ndarray:
-    """J X1X2 + (b/2)(Z1 + Z2), J = j_sign * jx."""
-    if spec.kind != "ISING":
-        raise ValueError(f"build_ising needs kind ISING, got {spec.kind}")
-    j = spec.j_sign * spec.jx
-    return (j * kron(SX, SX) + (spec.b / 2.0) * kron(SZ, ID2)
-            + (spec.b / 2.0) * kron(ID2, SZ))
-
-
-_BUILDERS = {"XY": build_xy, "XYZ": build_heisenberg, "ISING": build_ising}
+        return cls(jx=jx, b=b, j_sign=j_sign)
 
 
 def build_hamiltonian(spec: SpinModelSpec) -> np.ndarray:
-    return _BUILDERS[spec.kind](spec)
+    """Jx X1X2 + Jy Y1Y2 + Jz Z1Z2 + (b/2)(Z1 + Z2), Jk = j_sign * jk."""
+    j = spec.j_sign
+    return ((j * spec.jx) * _XX + (j * spec.jy) * _YY + (j * spec.jz) * _ZZ
+            + (spec.b / 2.0) * _Z_TOTAL)
+
+
+# the names the acceptance tests import
+build_heisenberg = build_ising = build_hamiltonian
 
 
 def oracle_hamiltonian(protocol: str, b_over_j: float, j_sign: int) -> np.ndarray:

@@ -70,17 +70,18 @@ def herm_expm(h: np.ndarray, t) -> np.ndarray:
     return (v * u[..., None, :]) @ v.conj().T
 
 
-def partial_transpose(rho: np.ndarray, subsystem: int) -> np.ndarray:
-    """Transpose one qubit's indices (qubit 0 or 1) of a two-qubit matrix,
-    or of each matrix in a (..., 4, 4) stack."""
+def partial_transpose(rho: np.ndarray) -> np.ndarray:
+    """Transpose qubit 0's indices of a two-qubit matrix, or of each matrix in
+    a (..., 4, 4) stack.
+
+    The transpose on qubit 1 is the full transpose of this one, so it has the
+    same spectrum.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_transpose expects a 4x4 matrix, got {rho.shape}")
-    if subsystem not in (0, 1):
-        raise ValueError(f"subsystem must be 0 or 1, got {subsystem}")
     r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)  # last axes: (i1, i2, j1, j2)
-    r = r.swapaxes(-4, -2) if subsystem == 0 else r.swapaxes(-3, -1)
-    return r.reshape(rho.shape)
+    return r.swapaxes(-4, -2).reshape(rho.shape)
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:

@@ -49,7 +49,7 @@ from .circuits import Circuit, Gate, circuit_matrix, gate_unitary
 # the device names stay importable from here
 from .device import (THETA_TO_NS, NoiseParams, TimingParams, _step_z_fraction,
                      gate_duration_ns, predicted_fidelity)
-from .linalg import ID2, SX, SY, SZ, check_density_matrix
+from .linalg import ID2, SX, SY, SZ, check_density_matrix, kron
 
 
 def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
@@ -61,7 +61,8 @@ def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
     lambda = 1 - exp(-2*t/T_phi), so off-diagonals decay as exp(-t/T2).  Each
     factor comes from its own exponential, sqrt(1 - gamma) = exp(-t/(2*T1))
     and sqrt(1 - lambda) = exp(-t/T_phi), and gamma and lambda from expm1, so
-    none of them cancels once decay is nearly complete.
+    none of them cancels once decay is nearly complete.  A zero rate decays
+    nothing, whatever the duration, an infinite one included.
     """
     if not (duration_ns >= 0.0 and t1_us > 0.0 and t2_us > 0.0):  # NaN fails
         raise ValueError("need duration >= 0 and T1, T2 > 0")
@@ -72,12 +73,15 @@ def _decay_parameters(duration_ns: float, t1_us: float, t2_us: float):
         raise ValueError(f"unphysical T2 = {t2_us} > 2*T1 = {2 * t1_us}")
     r_phi = max(r_phi, 0.0)
     t = duration_ns * 1e-3
-    gamma = -math.expm1(-t * r1)
-    lam = -math.expm1(-2.0 * t * r_phi)
-    # an overflowing rate or an infinite duration gives NaN here
+    # a zero rate skips its products, where an infinite t would give 0 * inf
+    t_r1 = t * r1 if r1 else 0.0
+    gamma = -math.expm1(-t_r1)
+    lam = -math.expm1(-2.0 * t * r_phi) if r_phi else 0.0
+    keep = math.exp(-t * r_phi) if r_phi else 1.0
+    # an overflowing rate gives NaN here
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"gamma = {gamma} and lambda = {lam} must be in [0, 1]")
-    return gamma, lam, math.exp(-t * r1 / 2.0), math.exp(-t * r_phi)
+    return gamma, lam, math.exp(-t_r1 / 2.0), keep
 
 
 def decoherence_kraus(duration_ns: float, t1_us: float = math.inf,
@@ -163,7 +167,7 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
         a, b = (a @ depol, b) if gate.qubit == 0 else (a, b @ depol)
     channel = np.multiply.outer(a, b).take(_LOCAL_ORDER)
     # the gate with its phase errors, u (x) conj(u), then the local channel
-    s = channel @ (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
+    s = channel @ kron(u, u.conj())
     s.flags.writeable = False
     return s
 

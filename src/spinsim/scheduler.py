@@ -20,9 +20,7 @@ unit ends, buffers and event starts are kept sorted and searched with
 ``bisect``, so no check compares all pairs of events.  The fixed cost per
 event is kept small: a ``PulseEvent`` is a ``NamedTuple``, about a third of
 the cost of a frozen dataclass to build, events sort on C-level
-``attrgetter`` keys, a z gate repeated in every Trotter step has its pulse
-length computed once per ``schedule`` call, and ``validate`` finds each xy
-pulse's buffers once.
+``attrgetter`` keys, and ``validate`` finds each xy pulse's buffers once.
 """
 
 from __future__ import annotations
@@ -107,12 +105,8 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         opens.insert(i, e - _TOL)
         closes.insert(i, e + wait - _TOL)
 
-    rz_ns: dict[int, float] = {}  # by gate id; the circuit keeps its gates alive
-
     def place_rz(idx: int, g: Gate, t0: float) -> None:
-        dur = rz_ns.get(id(g))
-        if dur is None:
-            dur = rz_ns[id(g)] = timing.rz_flux_ns(g, circuit.metadata)
+        dur = timing.rz_flux_ns(g, circuit.metadata)
         events.append(PulseEvent(_FLUX[g.qubit], t0, dur, "rz", idx))
         add_unit_end(t0 + dur)
         ready[g.qubit] = t0 + dur
@@ -178,8 +172,6 @@ def _near(keyed: tuple[list[float], list], x: float) -> list:
     """
     keys, items = keyed
     lo, hi = bisect_left(keys, x - 2 * _TOL), bisect_right(keys, x + 2 * _TOL)
-    if hi - lo == 1:  # the usual case, without the slices
-        return [items[lo]] if abs(keys[lo] - x) < _TOL else []
     return [it for k, it in zip(keys[lo:hi], items[lo:hi]) if abs(k - x) < _TOL]
 
 

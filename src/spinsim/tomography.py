@@ -26,9 +26,8 @@ from .linalg import PAULIS_1Q, SY, check_density_matrix, kron, partial_transpose
 PAULI_LABELS_2Q = tuple(a + b for a in "IXYZ" for b in "IXYZ")
 PAULI_MATRICES_2Q = tuple(kron(PAULIS_1Q[a], PAULIS_1Q[b]) for a in "ixyz" for b in "ixyz")
 
-# Chi basis: Y entries mean Ytilde = -i*sigma_y.
+# Chi basis, labelled by PAULI_LABELS_2Q: Y entries mean Ytilde = -i*sigma_y.
 _CHI_1Q = {**PAULIS_1Q, "y": -1j * SY}
-CHI_BASIS_LABELS = PAULI_LABELS_2Q
 CHI_BASIS = tuple(kron(_CHI_1Q[a], _CHI_1Q[b]) for a in "ixyz" for b in "ixyz")
 _CHI_VEC = np.column_stack([b.reshape(-1) for b in CHI_BASIS])
 
@@ -183,7 +182,7 @@ def negativity(rho: np.ndarray):
 
     A (..., 4, 4) stack gives an array, one matrix a float.
     """
-    w = np.linalg.eigvalsh(partial_transpose(rho, 0))
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     # eigenvalues ascend, so the negatives sum in the order w[w < 0].sum() takes
     neg = np.abs(np.where(w < 0.0, w, 0.0).sum(axis=-1))
     return float(neg) if neg.ndim == 0 else neg
@@ -198,7 +197,7 @@ def _indent1_list(items, depth: int) -> str:
 # json.dumps({"basis", "re", "im"}, indent=1) of a 16x16 chi, with one %s per
 # number: re row by row, then im.
 _CHI_ROWS = _indent1_list([_indent1_list(["%s"] * 16, 2)] * 16, 1)
-_CHI_JSON = ('{\n "basis": ' + _indent1_list([f'"{l}"' for l in CHI_BASIS_LABELS], 1)
+_CHI_JSON = ('{\n "basis": ' + _indent1_list([f'"{l}"' for l in PAULI_LABELS_2Q], 1)
              + ',\n "re": ' + _CHI_ROWS + ',\n "im": ' + _CHI_ROWS + "\n}")
 
 # Flat indices of the strict lower triangle of a 16x16 matrix, and of each

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, compile_heisenberg,
                               compile_ising, compile_xy)
+from spinsim.device import NoiseParams
 from spinsim.hamiltonians import oracle_hamiltonian
 
 
@@ -75,6 +76,12 @@ SQRT_ISWAP = np.array(
      [0, 0, 0, 1]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                 dtype=complex)
+
+
+# every error source off: no decay, no phase errors, perfect rotations
+NOISE_OFF = NoiseParams(t1_us=(np.inf, np.inf), t2_us=(np.inf, np.inf),
+                        jz_tilde_angle_deg=0.0, crosstalk_phase_deg=0.0,
+                        single_qubit_fidelity=1.0)
 
 
 def compiled_circuit(protocol, theta, n, b_over_j, j_sign):

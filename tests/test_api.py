@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tokenize
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -33,11 +34,22 @@ def test_exports_are_their_home_module_objects():
         assert getattr(spinsim, name) is getattr(home, name), name
 
 
+def public_members(cls) -> set[str]:
+    """The public methods, classmethods, staticmethods and properties that a
+    class and its spinsim bases define."""
+    return {name for klass in cls.__mro__ if klass.__module__.startswith("spinsim")
+            for name, value in vars(klass).items()
+            if not name.startswith("_")
+            and isinstance(value, (FunctionType, classmethod, staticmethod, property))}
+
+
 def test_every_export_is_used_outside_its_definition():
     """A public name that no module and no acceptance test uses is test-only API.
 
-    A use is a NAME token in src/spinsim (the export table in ``__init__`` aside)
-    or in tests/test_acceptance.py that is not the name of a def or class.
+    So is a public method, classmethod or property of an exported class that
+    none of them uses.  A use is a NAME token in src/spinsim (the export table
+    in ``__init__`` aside) or in tests/test_acceptance.py that is not the name
+    of a def or class.
     """
     files = [p for p in (SRC / "spinsim").glob("*.py") if p.name != "__init__.py"]
     files.append(Path(__file__).with_name("test_acceptance.py"))
@@ -50,6 +62,11 @@ def test_every_export_is_used_outside_its_definition():
                     used.add(tok.string)
                 prev = tok.string
     assert sorted(set(spinsim.__all__) - used) == []
+    members = {f"{name}.{member}" for name in spinsim.__all__
+               if isinstance(getattr(spinsim, name), type)
+               for member in public_members(getattr(spinsim, name))}
+    assert members  # the classes do have public members
+    assert sorted(m for m in members if m.split(".")[1] not in used) == []
 
 
 def test_star_import():

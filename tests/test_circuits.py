@@ -13,8 +13,8 @@ from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                               gate_unitary, phase_distance, repeated_step,
                               trotter_fidelity)
 from spinsim.device import TimingParams
-from spinsim.hamiltonians import (SpinModelSpec, build_heisenberg, build_ising,
-                                  build_xy, exact_evolve, oracle_hamiltonian)
+from spinsim.hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
+                                  build_ising, exact_evolve, oracle_hamiltonian)
 from spinsim.linalg import SX, SZ, herm_expm, kron, op_on_qubit
 from spinsim.scheduler import schedule, timeline_to_csv
 
@@ -35,7 +35,7 @@ class TestGateUnitary:
     def test_xy_matches_exchange_exponential(self):
         for j_sign in (-1, 1):
             for theta in (0.3, 1.2, np.pi, 5.0):
-                h = build_xy(SpinModelSpec.xy(j_sign=j_sign))
+                h = build_hamiltonian(SpinModelSpec.xy(j_sign=j_sign))
                 u = herm_expm(h, theta / 2)
                 g = gate_unitary(Gate.xy(theta), j_sign=j_sign)
                 assert np.max(np.abs(g - u)) < 1e-12

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsim.hamiltonians import (VALID_KINDS, SpinModelSpec, build_hamiltonian,
-                                  build_heisenberg, build_ising, build_xy,
-                                  dominant_angular_frequency, exact_evolve,
+from spinsim.hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
+                                  build_ising, dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
 from spinsim.linalg import ID2, SX, SY, SZ, kron
 
@@ -12,27 +11,24 @@ from conftest import FIG2, FIG3, complex_arrays, expval, hermitian_matrices, the
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SpinModelSpec(kind="FOO")
-    with pytest.raises(ValueError):
-        SpinModelSpec(kind="ISING", jy=1.0)
-    with pytest.raises(ValueError):
-        build_xy(SpinModelSpec.ising())
+    for j_sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="j_sign"):
+            SpinModelSpec(j_sign=j_sign)
 
 
 class TestBuildXY:
     def test_spectrum_unit_coupling(self):
-        h = build_xy(SpinModelSpec.xy(jx=1.0, j_sign=1))
+        h = build_hamiltonian(SpinModelSpec.xy(jx=1.0, j_sign=1))
         assert np.allclose(np.linalg.eigvalsh(h), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_zero_coupling(self):
-        assert np.array_equal(build_xy(SpinModelSpec.xy(jx=0.0)), np.zeros((4, 4)))
+        assert np.array_equal(build_hamiltonian(SpinModelSpec.xy(jx=0.0)), np.zeros((4, 4)))
 
     def test_swap_matrix_element(self):
         # <ud| H |du> equals the signed coupling
-        h = build_xy(SpinModelSpec.xy(jx=1.0, j_sign=1))
+        h = build_hamiltonian(SpinModelSpec.xy(jx=1.0, j_sign=1))
         assert h[1, 2] == pytest.approx(1.0)
-        h = build_xy(SpinModelSpec.xy(jx=1.0, j_sign=-1))
+        h = build_hamiltonian(SpinModelSpec.xy(jx=1.0, j_sign=-1))
         assert h[1, 2] == pytest.approx(-1.0)
 
 
@@ -47,7 +43,7 @@ class TestBuildHeisenberg:
 
     def test_reduces_to_twice_xy(self):
         h = build_heisenberg(SpinModelSpec.heisenberg(1, 1, 0, j_sign=-1))
-        assert np.array_equal(h, 2 * build_xy(SpinModelSpec.xy(jx=1.0, j_sign=-1)))
+        assert np.array_equal(h, 2 * build_hamiltonian(SpinModelSpec.xy(jx=1.0, j_sign=-1)))
 
 
 class TestBuildIsing:
@@ -69,27 +65,29 @@ class TestBuildIsing:
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
 
 
-@given(kind=st.sampled_from(VALID_KINDS), jx=COUPLINGS, jy=COUPLINGS, jz=COUPLINGS,
-       b=COUPLINGS, j_sign=st.sampled_from((-1, 1)))
-def test_builders_are_two_spin_pauli_sums(kind, jx, jy, jz, b, j_sign):
-    if kind == "ISING":
-        jy = jz = 0.0
-    spec = SpinModelSpec(kind=kind, jx=jx, jy=jy, jz=jz, b=b, j_sign=j_sign)
+@given(jx=COUPLINGS, jy=COUPLINGS, jz=COUPLINGS, b=COUPLINGS,
+       j_sign=st.sampled_from((-1, 1)))
+def test_builders_are_two_spin_pauli_sums(jx, jy, jz, b, j_sign):
+    """The one formula, and each named model as its own Pauli sum."""
     i2 = np.eye(2, dtype=complex)
     xx, yy, zz = (np.kron(p, p) for p in (SX, SY, SZ))
-    if kind == "XY":
-        ref = (j_sign * jx / 2.0) * (xx + yy)
-    elif kind == "XYZ":
-        ref = (j_sign * jx) * xx + (j_sign * jy) * yy + (j_sign * jz) * zz
-    else:
-        ref = (j_sign * jx) * xx + (b / 2.0) * np.kron(SZ, i2) + (b / 2.0) * np.kron(i2, SZ)
-    assert np.array_equal(build_hamiltonian(spec), ref)
+    z1, z2 = np.kron(SZ, i2), np.kron(i2, SZ)
+    h = build_hamiltonian(SpinModelSpec(jx, jy, jz, b, j_sign))
+    ref = (j_sign * jx) * xx + (j_sign * jy) * yy + (j_sign * jz) * zz + (b / 2.0) * (z1 + z2)
+    assert np.array_equal(h, ref)
+    # the models, as written before they shared one formula
+    assert np.array_equal(build_hamiltonian(SpinModelSpec.xy(jx, j_sign)),
+                          (j_sign * jx / 2.0) * (xx + yy))
+    assert np.array_equal(build_hamiltonian(SpinModelSpec.heisenberg(jx, jy, jz, j_sign)),
+                          (j_sign * jx) * xx + (j_sign * jy) * yy + (j_sign * jz) * zz)
+    assert np.array_equal(build_hamiltonian(SpinModelSpec.ising(jx, b, j_sign)),
+                          (j_sign * jx) * xx + (b / 2.0) * z1 + (b / 2.0) * z2)
 
 
 def test_oracle_hamiltonian_per_protocol():
     for j_sign in (-1, 1):
         assert np.array_equal(oracle_hamiltonian("xy", 2.0, j_sign),
-                              build_xy(SpinModelSpec.xy(j_sign=j_sign)))
+                              build_hamiltonian(SpinModelSpec.xy(j_sign=j_sign)))
         assert np.array_equal(oracle_hamiltonian("heisenberg", 2.0, j_sign),
                               build_heisenberg(SpinModelSpec.heisenberg(1, 1, 1, j_sign)))
         # the Ising field is B = j_sign * b_over_j
@@ -109,7 +107,7 @@ def test_builders_exactly_hermitian():
 
 class TestExactEvolve:
     def test_zero_time(self):
-        h = build_xy(SpinModelSpec.xy())
+        h = build_hamiltonian(SpinModelSpec.xy())
         assert np.allclose(exact_evolve(h, 0.0, FIG2), FIG2, atol=1e-14)
 
     def test_rejects_non_finite_state(self):
@@ -135,7 +133,7 @@ class TestExactEvolve:
 
     def test_exchange_full_transfer_bloch_vectors(self):
         # at phase angle pi the spins end along +y and +z
-        h = build_xy(SpinModelSpec.xy(j_sign=-1))
+        h = build_hamiltonian(SpinModelSpec.xy(j_sign=-1))
         psi = exact_evolve(h, np.pi / 2, FIG2)
         assert expval(psi, kron(SY, ID2)) == pytest.approx(1.0, abs=1e-9)
         assert expval(psi, kron(ID2, SZ)) == pytest.approx(1.0, abs=1e-9)
@@ -168,7 +166,7 @@ class TestExactEvolve:
             assert abs(expval(exact_evolve(h, t, FIG2), dot) - d0) < 1e-9
 
     def test_xy_preserves_total_magnetization(self):
-        h = build_xy(SpinModelSpec.xy(j_sign=-1))
+        h = build_hamiltonian(SpinModelSpec.xy(j_sign=-1))
         ztot = kron(SZ, ID2) + kron(ID2, SZ)
         m0 = expval(FIG2, ztot)
         for t in np.linspace(0.0, 3.0, 13):

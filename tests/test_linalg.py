@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from spinsim.linalg import (ID2, SX, SY, SZ, check_density_matrix, herm_expm, kron,
                             partial_transpose)
-from spinsim.hamiltonians import SpinModelSpec, build_xy
+from spinsim.hamiltonians import SpinModelSpec, build_hamiltonian
 
 from conftest import (BELL, FIG2, expval, hermitian_matrices, matrix_stacks,
                       random_hermitian, random_density, theta_grids)
@@ -133,39 +133,37 @@ class TestExpectation:
 class TestPartialTranspose:
     def test_product_state_stays_positive(self, rng):
         rho = kron(random_density(rng, 2), random_density(rng, 2))
-        w = np.linalg.eigvalsh(partial_transpose(rho, 0))
+        w = np.linalg.eigvalsh(partial_transpose(rho))
         assert w.min() > -1e-12
 
     def test_bell_minimum_eigenvalue(self):
         rho = np.outer(BELL, BELL.conj())
-        w = np.linalg.eigvalsh(partial_transpose(rho, 0))
+        w = np.linalg.eigvalsh(partial_transpose(rho))
         assert w.min() == pytest.approx(-0.5, abs=1e-12)
 
     def test_partially_swapped_state_single_negative_eigenvalue(self):
         # oracle evolution of the perpendicular-spins state to phase pi/2
-        h = build_xy(SpinModelSpec.xy(j_sign=-1))
+        h = build_hamiltonian(SpinModelSpec.xy(j_sign=-1))
         psi = herm_expm(h, np.pi / 4) @ FIG2
         rho = np.outer(psi, psi.conj())
-        w = np.linalg.eigvalsh(partial_transpose(rho, 0))
+        w = np.linalg.eigvalsh(partial_transpose(rho))
         assert (w < -1e-12).sum() == 1
         assert w.min() == pytest.approx(-0.25, abs=1e-9)
 
     def test_involution(self, rng):
         rho = random_density(rng)
-        for sub in (0, 1):
-            assert np.array_equal(
-                partial_transpose(partial_transpose(rho, sub), sub), rho)
+        assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
-            partial_transpose(np.eye(8) / 8, 0)
+            partial_transpose(np.eye(8) / 8)
 
-    @given(matrix_stacks, st.sampled_from((0, 1)))
-    def test_stack_matches_single_calls(self, stack, sub):
-        out = partial_transpose(stack, sub)
+    @given(matrix_stacks)
+    def test_stack_matches_single_calls(self, stack):
+        out = partial_transpose(stack)
         assert out.shape == stack.shape
         for rho, pt in zip(stack.reshape(-1, 4, 4), out.reshape(-1, 4, 4)):
-            assert np.array_equal(partial_transpose(rho, sub), pt)
+            assert np.array_equal(partial_transpose(rho), pt)
 
 
 class TestCheckDensityMatrix:

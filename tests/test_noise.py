@@ -14,7 +14,7 @@ from spinsim.noise import (NoiseParams, THETA_TO_NS, TimingParams,
                            predicted_fidelity, simulate_noisy, zz_error_unitary)
 from spinsim.tomography import state_fidelity
 
-from conftest import FIG3, compiled_circuit, misleading_circuits, random_density
+from conftest import FIG3, NOISE_OFF, compiled_circuit, misleading_circuits, random_density
 
 
 def kraus_completeness_defect(kraus):
@@ -69,11 +69,23 @@ class TestDecoherenceKraus:
         (math.nan, 7.1, 5.4), (math.nan, math.inf, math.inf), (10.0, math.nan, 5.4),
         (10.0, 7.1, math.nan), (10.0, -7.1, 5.4), (10.0, 7.1, -5.4),
         (10.0, 0.0, 1.0), (10.0, 7.1, 0.0), (0.0, 0.0, 0.0),
-        (10.0, 1e-320, 1e-320), (0.0, 1e-320, 1e-320), (math.inf, 7.1, 14.2),
+        (10.0, 1e-320, 1e-320), (0.0, 1e-320, 1e-320),
     ], ids=str)
     def test_rejects_invalid_arguments_with_value_error(self, args):
         with pytest.raises(ValueError):
             decoherence_kraus(*args)
+
+    @pytest.mark.parametrize("t1, t2, expected", [
+        (7.1, 14.2, (1.0, 0.0, 0.0, 1.0)),  # no pure dephasing
+        (math.inf, 5.4, (0.0, 1.0, 1.0, 0.0)),
+        (math.inf, math.inf, (0.0, 0.0, 1.0, 1.0)),
+    ], ids=["t2-twice-t1", "t1-inf", "t1-t2-inf"])
+    def test_infinite_duration_at_zero_rate(self, t1, t2, expected):
+        """A zero rate decays nothing, whatever the duration: (gamma, lambda,
+        sqrt(1 - gamma), sqrt(1 - lambda))."""
+        assert spinsim.noise._decay_parameters(math.inf, t1, t2) == expected
+        ks = decoherence_kraus(math.inf, t1, t2)
+        assert kraus_completeness_defect(ks) == 0.0
 
 
 def composed_decoherence_kraus(duration_ns, t1_us=math.inf, t2_us=math.inf):
@@ -246,7 +258,7 @@ class TestSimulateNoisy:
     def test_noise_off_matches_ideal(self):
         c = compile_ising(EvolutionParams(1.7, 2, 3.0))
         rho0 = np.outer(FIG3, FIG3.conj())
-        rho = simulate_noisy(c, NoiseParams.off(), rho0)
+        rho = simulate_noisy(c, NOISE_OFF, rho0)
         u = circuit_unitary(c)
         ideal = u @ rho0 @ u.conj().T
         assert np.max(np.abs(rho - ideal)) < 1e-10
@@ -447,7 +459,7 @@ single_gates = (st.builds(Gate.xy, angles)
 @given(gate=single_gates, j_sign=st.sampled_from((-1, 1)),
        z_frac=st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1e3),
        duration=st.sampled_from((0.0, 1e9)) | st.floats(min_value=0.0, max_value=1e6),
-       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params())
+       params=st.just(NoiseParams()) | st.just(NOISE_OFF) | noise_params())
 def test_gate_superop_matches_kraus_einsum_build(gate, j_sign, z_frac, duration, params):
     s = spinsim.noise._gate_superop(gate, j_sign, z_frac, duration, params)
     ref = kraus_superop_reference(gate, j_sign, z_frac, duration, params)
@@ -460,7 +472,7 @@ def test_gate_superop_matches_kraus_einsum_build(gate, j_sign, z_frac, duration,
        n=st.integers(min_value=1, max_value=30),
        b_over_j=st.floats(min_value=-5.0, max_value=5.0),
        j_sign=st.sampled_from((-1, 1)),
-       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
+       params=st.just(NoiseParams()) | st.just(NOISE_OFF) | noise_params(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_superoperator_engine_matches_kraus_reference(protocol, theta, n, b_over_j,
                                                        j_sign, params, seed):
@@ -483,7 +495,7 @@ def test_list_times_are_hashable_and_match_tuples():
 
 @settings(deadline=None)
 @given(c=misleading_circuits(),
-       params=st.just(NoiseParams()) | st.just(NoiseParams.off()) | noise_params(),
+       params=st.just(NoiseParams()) | st.just(NOISE_OFF) | noise_params(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_misleading_n_steps_propagates_gate_by_gate(c, params, seed):
     rho0 = random_density(np.random.default_rng(seed))
@@ -575,7 +587,7 @@ def test_ising_step_power_looks_up_one_step(monkeypatch):
     assert_cptp_output(rho)
 
 
-@pytest.mark.parametrize("params", [NoiseParams(), NoiseParams.off()],
+@pytest.mark.parametrize("params", [NoiseParams(), NOISE_OFF],
                          ids=["noisy", "off"])
 def test_empty_circuit_returns_rho0(params):
     rng = np.random.default_rng(5)

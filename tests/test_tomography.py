@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_unitary,
                               compile_heisenberg)
-from spinsim.hamiltonians import SpinModelSpec, build_xy, exact_evolve
+from spinsim.hamiltonians import SpinModelSpec, build_hamiltonian, exact_evolve
 from spinsim.linalg import kron, partial_transpose
 from spinsim.noise import NoiseParams, simulate_noisy
-from spinsim.tomography import (CHI_BASIS_LABELS, PAULI_LABELS_2Q,
-                                CHI_BASIS, PROCESS_INPUT_STATES, TomographyRecord,
+from spinsim.tomography import (CHI_BASIS, PAULI_LABELS_2Q, PROCESS_INPUT_STATES,
+                                TomographyRecord,
                                 chi_of_unitary, chi_to_json, linear_inversion, negativity,
                                 process_fidelity, process_tomography,
                                 reconstruct_state, state_fidelity,
@@ -29,7 +29,7 @@ def unitary_channel(u):
 def json_reference(chi):
     """The chi document as json's own encoder writes it: the byte format."""
     chi = np.asarray(chi, dtype=complex)
-    return json.dumps({"basis": list(CHI_BASIS_LABELS),
+    return json.dumps({"basis": list(PAULI_LABELS_2Q),
                        "re": [[float(x) for x in row] for row in chi.real],
                        "im": [[float(x) for x in row] for row in chi.imag]},
                       indent=1)
@@ -125,7 +125,7 @@ class TestProcessTomography:
         chi = process_tomography(unitary_channel(u))
         assert np.max(np.abs(chi - chi_of_unitary(u))) < 1e-10
         # iSWAP = (II + i XX + i YY + ZZ)/2; Ytilde flips the YY phase
-        labels = list(CHI_BASIS_LABELS)
+        labels = list(PAULI_LABELS_2Q)
         for a, b, val in (("II", "II", 0.25), ("XX", "XX", 0.25),
                           ("YY", "YY", 0.25), ("ZZ", "ZZ", 0.25),
                           ("II", "XX", -0.25j), ("II", "ZZ", 0.25),
@@ -229,7 +229,7 @@ class TestNegativity:
         assert negativity(np.outer(BELL, BELL.conj())) == pytest.approx(0.5, abs=1e-12)
 
     def test_partial_exchange_peak(self):
-        h = build_xy(SpinModelSpec.xy(j_sign=-1))
+        h = build_hamiltonian(SpinModelSpec.xy(j_sign=-1))
         psi = exact_evolve(h, np.pi / 4, FIG2)
         assert negativity(np.outer(psi, psi.conj())) == pytest.approx(0.25, abs=1e-9)
 
@@ -243,7 +243,7 @@ class TestNegativity:
         rho = (stack + stack.conj().swapaxes(-1, -2)) / 2.0  # any spectrum
         singles = [negativity(r) for r in rho.reshape(-1, 4, 4)]
         assert all(type(v) is float for v in singles)
-        spectra = [np.linalg.eigvalsh(partial_transpose(r, 0)) for r in rho.reshape(-1, 4, 4)]
+        spectra = [np.linalg.eigvalsh(partial_transpose(r)) for r in rho.reshape(-1, 4, 4)]
         expected = np.array([abs(w[w < 0.0].sum()) for w in spectra])
         assert np.array(singles).tobytes() == expected.tobytes()
         out = negativity(rho)
@@ -263,7 +263,7 @@ class TestChiSerialization:
     def test_round_trip(self, rng):
         chi = chi_of_unitary(random_unitary(rng, 4))
         doc = json.loads(chi_to_json(chi))
-        assert tuple(doc["basis"]) == CHI_BASIS_LABELS
+        assert tuple(doc["basis"]) == PAULI_LABELS_2Q
         chi2 = np.array(doc["re"]) + 1j * np.array(doc["im"])
         assert np.max(np.abs(chi - chi2)) < 1e-15
 
