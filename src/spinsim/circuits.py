@@ -21,8 +21,8 @@ Propagation cost: ``circuit_matrix`` is the one engine for both the ideal 4x4
 unitaries (``circuit_unitary``) and the noisy 16x16 superoperators
 (``noise.simulate_noisy``).  It turns a circuit into one matrix, the ordered
 product of its gates' matrices, which the caller applies to the state.  When
-``ir.repeated_step`` finds a circuit whose gates are exactly ``n_steps``
-copies of one step, as ``compile_ising`` builds them, only one step is
+``Circuit.step`` holds a circuit whose gates are exactly ``n_steps`` copies
+of one step, as ``compile_ising`` builds them, only one step is
 multiplied out and the product is raised to the power n by repeated squaring,
 so a circuit costs one step plus O(log n) matrix products.  The compilers
 repeat one object per distinct gate, and ``circuit_matrix`` calls
@@ -44,7 +44,7 @@ import numpy as np
 from .hamiltonians import exact_evolve, oracle_hamiltonian
 # the IR names stay importable from here
 from .ir import (Circuit, EvolutionParams, Gate, circuit_from_text, circuit_to_text,
-                 compile_heisenberg, compile_ising, compile_xy, repeated_step)
+                 compile_heisenberg, compile_ising, compile_xy)
 from .linalg import ID2, PAULIS_1Q, op_on_qubit
 
 
@@ -76,12 +76,12 @@ def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
 
     The product starts from a copy of the first gate's matrix and puts the
     first gate rightmost; the empty circuit is a fresh identity.  When
-    ``repeated_step`` finds n > 1 copies of one step, it is the step's product
+    ``c.step`` holds n > 1 copies of one step, it is the step's product
     raised to the power n by repeated squaring.  ``matrix_of`` is called once
     per distinct gate object of the step.  The result is always a new
     writeable array.
     """
-    step, n = repeated_step(c)
+    step, n = c.step
     if not step:
         return np.eye(dim, dtype=complex)
     prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
@@ -105,16 +105,16 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     circuits stays flat in memory.
     """
     if isinstance(circuits, Circuit):
-        j_sign = int(circuits.metadata.get("j_sign", -1))
+        j_sign = circuits.metadata.get("j_sign", -1)
         return circuit_matrix(circuits, lambda g: gate_unitary(g, j_sign), 4)
     # (step length, n) -> (indices into the result, each circuit's step matrices)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for i, c in enumerate(circuits):
-        step, n = repeated_step(c)
+        step, n = c.step
         index, mats = groups.setdefault((len(step), n), ([], []))
         index.append(i)
         # a cache hit per gate, in C, costs less than finding repeats in Python
-        mats.append(list(map(gate_unitary, step, repeat(int(c.metadata.get("j_sign", -1))))))
+        mats.append(list(map(gate_unitary, step, repeat(c.metadata.get("j_sign", -1)))))
     total = sum(len(index) for index, _ in groups.values())
     out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():

@@ -19,6 +19,7 @@ import, and scheduling must not load numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .ir import Gate
@@ -65,7 +66,7 @@ class TimingParams:
         # inverse detuning; 5 ns at 200 MHz
         return 1000.0 / self.detuning_mhz
 
-    def rz_flux_ns(self, gate: Gate, metadata: dict) -> float:
+    def rz_flux_ns(self, gate: Gate, metadata: Mapping) -> float:
         """Flux-pulse length of a compiled z-phase gate.
 
         The per-step z slot lasts the step's allotted interaction time; a gate
@@ -73,7 +74,7 @@ class TimingParams:
         that time.  Hand-built circuits without field metadata fall back to
         the single-qubit pulse length.
         """
-        b = abs(float(metadata.get("b_over_j", 0.0)))
+        b = abs(metadata.get("b_over_j", 0.0))
         if b > 0.0:
             return self.theta_to_ns * 2.0 * abs(gate.angle) / b
         return self.single_qubit_ns
@@ -111,18 +112,17 @@ class NoiseParams:
             raise ValueError("error angles must be finite")
 
 
-def _step_z_fraction(gate: Gate, metadata: dict) -> float:
+def _step_z_fraction(gate: Gate, metadata: Mapping) -> float:
     """Fraction of one Trotter step's z rotation carried by this gate."""
     theta = float(metadata.get("theta", 0.0))
-    n = int(metadata.get("n_steps", 1))
-    b = float(metadata.get("b_over_j", 0.0))
+    n, b = metadata.get("n_steps", 1), metadata.get("b_over_j", 0.0)
     full = abs(b) * theta / (2.0 * n)
     if full <= 0.0:
         return 1.0
     return abs(gate.angle) / full
 
 
-def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: dict) -> float:
+def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: Mapping) -> float:
     """Wall-clock footprint of one gate, waits included for flux pulses."""
     t = params.timing
     if gate.kind == "XY":

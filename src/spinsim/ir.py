@@ -24,15 +24,18 @@ step is O((theta/n)^3), so the global error amplitude after n steps is
 O(1/n^2) and the state infidelity, its square, is O(1/n^4).  Each step also
 carries the two consecutive refocusing pi pulses on qubit Q2 (a net
 identity) so that noisy simulations see the same pulse load as the hardware
-sequence.  ``compile_ising`` builds one Trotter step and repeats it n times,
-and ``repeated_step`` recovers that step from any circuit whose gates are
-exactly ``n_steps`` copies of one step.
+sequence.  ``compile_ising`` builds one Trotter step and repeats it n times;
+``Circuit`` checks and freezes its header once, and its ``step`` holds that
+step for any circuit whose gates are exactly ``n_steps`` copies of one step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 HALF_PI = math.pi / 2.0
@@ -100,15 +103,40 @@ class Gate(_GateFields):
 
 @dataclass(frozen=True)
 class Circuit:
-    """A gate sequence on the two-qubit register."""
+    """A gate sequence on the two-qubit register, with a read-only header.
+
+    The header's physics keys are checked here and nowhere else: ``j_sign``
+    in {-1, 1}, ``n_steps`` an integer >= 1 and ``b_over_j`` finite, each
+    optional.  ``step`` is the circuit as (step, n) with ``step * n ==
+    gates``, found once: header ``n_steps`` is only a candidate for n, so a
+    circuit whose gates are not that many copies of one step is its own step,
+    with n = 1.  Pickling and copying rebuild the circuit, checks included.
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
+    step: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_qubits != 2:
-            raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits}")
+        if not (isinstance(self.n_qubits, int) and self.n_qubits == 2):
+            raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits!r}")
+        meta = MappingProxyType(dict(self.metadata))
+        j, n, b = meta.get("j_sign", -1), meta.get("n_steps", 1), meta.get("b_over_j", 0.0)
+        if not (isinstance(j, int) and j in (-1, 1)):
+            raise ValueError(f"j_sign must be +1 or -1, got {j!r}")
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
+        # NaN fails the comparison; an int beyond the float range fails it too
+        if not (isinstance(b, (int, float)) and abs(b) <= sys.float_info.max):
+            raise ValueError(f"b_over_j must be finite, got {b!r}")
+        gates, k = self.gates, len(self.gates) // n
+        repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
+        object.__setattr__(self, "metadata", meta)
+        object.__setattr__(self, "step", (gates[:k], n) if repeats else (gates, 1))
+
+    def __reduce__(self):
+        return type(self), (self.n_qubits, self.gates, dict(self.metadata))
 
 
 @dataclass(frozen=True)
@@ -122,20 +150,6 @@ class EvolutionParams:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-
-
-def repeated_step(c: Circuit) -> tuple[tuple[Gate, ...], int]:
-    """The circuit as (step, n) with ``step * n == c.gates``.
-
-    Metadata ``n_steps`` is only a candidate for n: a circuit whose gates are
-    not that many copies of one step comes back whole, with n = 1.
-    """
-    n = c.metadata.get("n_steps", 1)
-    if isinstance(n, int) and 1 < n <= len(c.gates) and len(c.gates) % n == 0:
-        step = c.gates[:len(c.gates) // n]
-        if step * n == c.gates:
-            return step, n
-    return c.gates, 1
 
 
 def compile_xy(params: EvolutionParams, j_sign: int = -1) -> Circuit:
@@ -223,17 +237,16 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_META_INT_KEYS = {"n_qubits", "n_steps", "j_sign", "gates_per_step"}
-
-
 def circuit_from_text(text: str) -> Circuit:
     """Parse the text form produced by circuit_to_text.
 
-    Repeated gate lines share the one ``Gate`` built for the first of them, so
-    a dumped Trotter circuit comes back with the repeated step it was built
-    from and ``repeated_step`` compares its copies by identity.
+    A header value, ``n_qubits`` included, is an ``int`` where it reads as
+    one, else a ``float`` where it reads as one, else the text; ``Circuit``
+    checks them.  Repeated gate lines share the one ``Gate`` built for the
+    first of them, so a dumped Trotter circuit comes back with the repeated
+    step it was built from, and ``Circuit.step`` compares its copies by
+    identity.
     """
-    n_qubits = 2
     metadata: dict = {}
     gates: list[Gate] = []
     built: dict[str, Gate] = {}  # a repeated gate line gets the Gate built for it
@@ -246,19 +259,12 @@ def circuit_from_text(text: str) -> Circuit:
                 if "=" not in token:
                     continue
                 k, v = token.split("=", 1)
-                if k == "n_qubits":
-                    n_qubits = int(v)
-                elif k in _META_INT_KEYS:
-                    metadata[k] = int(v)
-                elif k == "b_over_j":
-                    metadata[k] = float(v)
-                    if not math.isfinite(metadata[k]):
-                        raise ValueError(f"b_over_j must be finite, got {v!r}")
-                else:
+                for parse in (int, float, str):  # str keeps any other text
                     try:
-                        metadata[k] = float(v)
+                        metadata[k] = parse(v)
+                        break
                     except ValueError:
-                        metadata[k] = v
+                        pass
             continue
         if line not in built:
             fields = line.split()
@@ -272,8 +278,5 @@ def circuit_from_text(text: str) -> Circuit:
             else:
                 raise ValueError(f"unknown gate line: {line!r}")
         gates.append(built[line])
-    if metadata.get("j_sign", -1) not in (-1, 1):
-        raise ValueError(f"j_sign must be +1 or -1, got {metadata['j_sign']}")
-    if metadata.get("n_steps", 1) < 1:
-        raise ValueError(f"n_steps must be >= 1, got {metadata['n_steps']}")
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates), metadata=metadata)
+    return Circuit(n_qubits=metadata.pop("n_qubits", 2), gates=tuple(gates),
+                   metadata=metadata)

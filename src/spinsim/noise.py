@@ -33,9 +33,9 @@ fraction, duration, parameters) and kept in a bounded cache.
 matrix S with ``circuits.circuit_matrix``, the engine the ideal unitaries use
 too, which describes how a repeated Trotter step is composed and what it
 costs, and returns S vec(rho0).  It keeps the last circuit's S in a one-entry
-memo and reuses it while the next call has the same circuit object, equal
-metadata and the same ``params`` object, as tomography's 17 calls per circuit
-do; rho0 is checked on every call.
+memo and reuses it while the next call has the same circuit object, whose
+header is read-only, and the same ``params`` object, as tomography's 17 calls
+per circuit do; rho0 is checked on every call.
 """
 
 from __future__ import annotations
@@ -172,9 +172,8 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     return s
 
 
-# the last circuit simulated: (circuit, copy of its metadata, params, its
-# superoperator)
-_last = (None, None, None, None)
+# the last circuit simulated: (circuit, params, its superoperator)
+_last = (None, None, None)
 
 
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> np.ndarray:
@@ -182,16 +181,16 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> n
     global _last
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
     meta = circuit.metadata
-    j_sign = int(meta.get("j_sign", -1))
+    j_sign = meta.get("j_sign", -1)
 
     def superop(g: Gate) -> np.ndarray:
         z_frac = (_step_z_fraction(g, meta)
                   if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
         return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, meta), params)
 
-    last_circuit, last_meta, last_params, s = _last
-    if not (circuit is last_circuit and params is last_params and meta == last_meta):
+    last_circuit, last_params, s = _last
+    if not (circuit is last_circuit and params is last_params):
         s = circuit_matrix(circuit, superop, 16)
-        _last = (circuit, dict(meta), params, s)
+        _last = (circuit, params, s)
     rho = (s @ vec).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0

@@ -11,8 +11,12 @@ from spinsim.device import NoiseParams
 from spinsim.hamiltonians import oracle_hamiltonian
 
 
-# Property tests draw the same examples on every run, so a test run is
-# repeatable and two runs compare like for like.
+# Derandomized property tests draw the same examples on every run of the same
+# collected modules over the same source.  Hypothesis also draws constants
+# that it finds in every loaded local module, and no setting turns that off,
+# so collecting other test modules or changing a constant in the code changes
+# the draws: a test run alone may not meet an example that the full run
+# meets.  Pin such an example with ``@example``.
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 

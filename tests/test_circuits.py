@@ -1,3 +1,5 @@
+import copy
+import math
 import pickle
 import struct
 from pathlib import Path
@@ -10,8 +12,7 @@ import spinsim.circuits
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
                               circuit_to_text, circuit_unitary,
                               compile_heisenberg, compile_ising, compile_xy,
-                              gate_unitary, phase_distance, repeated_step,
-                              trotter_fidelity)
+                              gate_unitary, phase_distance, trotter_fidelity)
 from spinsim.device import TimingParams
 from spinsim.hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
                                   build_ising, exact_evolve, oracle_hamiltonian)
@@ -136,6 +137,18 @@ class TestGateContract:
         with pytest.raises(ValueError, match="non-negative"):
             pickle.loads(data.replace(old, new))
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_circuit_pickles_and_deep_copies(self, protocol):
+        c = compile_ising(EvolutionParams(1.1, 4, -2.5), j_sign=1)
+        for back in (pickle.loads(pickle.dumps(c, protocol)), copy.deepcopy(c)):
+            assert back == c and type(back) is Circuit
+            assert back.step == c.step and back.step[1] == 4
+            assert repr(dict(back.metadata)) == repr(dict(c.metadata))
+            # the copy keeps the shared gate objects of its repeated step
+            assert all(a is b for a, b in zip(back.gates, back.step[0] * 4))
+            with pytest.raises(TypeError):
+                back.metadata["j_sign"] = -1
+
     def test_equal_gates_share_one_cache_entry(self):
         a, b = Gate.rot("y", 0.123456789, 1), Gate.rot("y", 0.123456789, 1)
         assert a is not b
@@ -162,6 +175,26 @@ class TestGateContract:
 def test_circuit_is_two_qubit(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("meta", [
+    {"n_steps": 0}, {"n_steps": 2.5}, {"j_sign": 5}, {"b_over_j": math.nan},
+    {"b_over_j": "x"}, {"b_over_j": 10 ** 400}],
+    ids=["n_steps-0", "n_steps-2.5", "j_sign-5", "b_over_j-nan", "b_over_j-text",
+         "b_over_j-beyond-float"])
+def test_circuit_rejects_a_bad_header_by_name(meta):
+    (key,) = meta
+    with pytest.raises(ValueError, match=f"^{key} "):
+        Circuit(2, (Gate.xy(1.0), Gate.rot("z", 0.3, 1)), meta)
+
+
+def test_circuit_header_is_a_read_only_copy():
+    meta = {"j_sign": -1, "n_steps": 1}
+    c = Circuit(2, (Gate.xy(1.0), Gate.rot("z", 0.3, 1)), meta)
+    with pytest.raises(TypeError):
+        c.metadata["j_sign"] = 1
+    meta["j_sign"] = 1  # the caller's dict is not the header
+    assert c.metadata["j_sign"] == -1
 
 
 class TestCircuitUnitary:
@@ -203,7 +236,7 @@ def per_gate_unitary(c):
        j_sign=st.sampled_from((-1, 1)))
 def test_step_power_matches_per_gate_product(protocol, theta, n, b_over_j, j_sign):
     c = compiled_circuit(protocol, theta, n, b_over_j, j_sign)
-    step, k = repeated_step(c)
+    step, k = c.step
     assert step * k == c.gates
     assert k == (n if protocol == "ising" else 1)
     assert np.max(np.abs(circuit_unitary(c) - per_gate_unitary(c))) <= 1e-12
@@ -212,7 +245,7 @@ def test_step_power_matches_per_gate_product(protocol, theta, n, b_over_j, j_sig
 @settings(deadline=None)
 @given(c=misleading_circuits())
 def test_misleading_n_steps_is_the_per_gate_product(c):
-    assert repeated_step(c) == (c.gates, 1)
+    assert c.step == (c.gates, 1)
     assert circuit_unitary(c).tobytes() == per_gate_unitary(c).tobytes()
 
 
@@ -476,14 +509,14 @@ class TestSerialization:
             c2 = circuit_from_text(circuit_to_text(c))
             assert c2 == c
             assert repr(c2.gates) == repr(c.gates)  # -0.0 keeps its sign
-            assert repr(c2.metadata) == repr(dict(sorted(c.metadata.items())))
+            assert repr(dict(c2.metadata)) == repr(dict(sorted(c.metadata.items())))
 
     def test_repeated_lines_share_one_gate(self):
         c = compile_ising(EvolutionParams(np.pi / 2, 200, 3.0))
         c2 = circuit_from_text(circuit_to_text(c))
         # one Gate per distinct line: rz on each qubit, xy, and x on each qubit
         assert len({id(g) for g in c2.gates}) == len(set(c2.gates)) == 5
-        step, n = repeated_step(c2)
+        step, n = c2.step
         assert (step, n) == (c.gates[:10], 200)
         assert all(a is b for a, b in zip(c2.gates, step * n))
 
@@ -493,14 +526,14 @@ class TestSerialization:
         c = compile_ising(EvolutionParams(theta, 2, b_over_j))
         c2 = circuit_from_text(circuit_to_text(c))
         for circ in (c, c2):
-            step, n = repeated_step(circ)
+            step, n = circ.step
             assert n == 2 and len({id(g) for g in step}) == distinct
             assert all(a is b for a, b in zip(circ.gates, step * n))
         # the same pattern of shared objects, gate by gate
         first = [[next(i for i, h in enumerate(circ.gates) if h is g) for g in circ.gates]
                  for circ in (c, c2)]
         assert first[0] == first[1]
-        assert repeated_step(c2) == repeated_step(c)
+        assert c2.step == c.step
         # sharing does not change a dump: fresh objects per gate dump the same
         unshared = Circuit(2, tuple(Gate(*g) for g in c.gates), c.metadata)
         assert circuit_to_text(unshared) == circuit_to_text(c)

@@ -340,6 +340,10 @@ BAD_CIRCUITS = {
     "b-over-j-nan.txt": FIELD_CIRCUIT.format("nan"),
     "b-over-j-inf.txt": FIELD_CIRCUIT.format("inf"),
     "b-over-j-tiny.txt": FIELD_CIRCUIT.format("1e-310"),
+    "b-over-j-huge-int.txt": FIELD_CIRCUIT.format(HUGE),
+    "j-sign-float.txt": "# n_qubits=2 j_sign=1.0\nXY theta=1.0\n",
+    "n-qubits-float.txt": "# n_qubits=2.0\nXY theta=1.0\n",
+    "n-steps-fractional.txt": "# n_qubits=2 n_steps=2.5\nXY theta=1.0\nXY theta=1.0\n",
     "j-sign-5.txt": "# n_qubits=2 j_sign=5\nXY theta=1.0\n",
     "n-steps-0.txt": "# n_qubits=2 n_steps=0\nXY theta=1.0\n",
     "n-steps-negative.txt": "# n_qubits=2 n_steps=-3\nXY theta=1.0\n",
@@ -399,6 +403,14 @@ BAD_CIRCUITS = {
                  id="circuit-in-n-steps-0"),
     pytest.param("schedule", {}, ["--circuit-in", "n-steps-negative.txt"],
                  id="circuit-in-n-steps-negative"),
+    pytest.param("schedule", {}, ["--circuit-in", "b-over-j-huge-int.txt"],
+                 id="circuit-in-b-over-j-huge-int"),
+    pytest.param("schedule", {}, ["--circuit-in", "j-sign-float.txt"],
+                 id="circuit-in-j-sign-float"),
+    pytest.param("schedule", {}, ["--circuit-in", "n-qubits-float.txt"],
+                 id="circuit-in-n-qubits-float"),
+    pytest.param("schedule", {}, ["--circuit-in", "n-steps-fractional.txt"],
+                 id="circuit-in-n-steps-fractional"),
     pytest.param("schedule", {}, ["--circuit-in", "qubit-2.txt"],
                  id="circuit-in-qubit-2"),
     pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],

@@ -57,3 +57,11 @@ def test_chain_reschedules_the_long_dump():
                                    log=log.append)
     assert log == [" && ".join(" ".join(cmd) for cmd in compare_outputs.RESCHEDULE)
                    + ": exit 0 -> 0, stderr equal, 4 identical and 0 changed files"]
+
+
+@pytest.mark.parametrize("chain", compare_outputs.HEADERS, ids=lambda c: " ".join(c[0][2:]))
+def test_every_header_chain_reschedules_its_dump(chain):
+    log = []
+    assert compare_outputs.compare(ROOT, ROOT, [chain], log=log.append)
+    assert log == [" && ".join(" ".join(cmd) for cmd in chain)
+                   + ": exit 0 -> 0, stderr equal, 4 identical and 0 changed files"]

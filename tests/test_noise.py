@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spinsim.noise
 from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_unitary, \
@@ -135,6 +135,9 @@ def decoherence_args(draw):
 
 @settings(deadline=None, max_examples=500)
 @given(args=decoherence_args())
+# a wrong grouping of the dephasing product once failed here, and only in a
+# full run, whose draws differ from a run of this test alone
+@example(args=(3.852597536731036e-304, math.inf, 63.0))
 def test_decoherence_kraus_matches_composition_bit_for_bit(args):
     ks = decoherence_kraus(*args)
     ref = composed_decoherence_kraus(*args)
@@ -509,8 +512,7 @@ def memo_call_sequences(draw):
     """Interleaved calls over two or three single-step circuits and noise parameters.
 
     The last circuit is a twin of the first: equal metadata, one more gate.
-    The parameters include an equal but distinct ``NoiseParams``; a call may
-    first change its circuit's ``j_sign`` or ``b_over_j`` in place.
+    The parameters include an equal but distinct ``NoiseParams``.
     """
     circuits = [compiled_circuit(draw(st.sampled_from(("xy", "heisenberg", "ising"))),
                                  draw(angles), 1, draw(st.floats(-5.0, 5.0)),
@@ -520,9 +522,8 @@ def memo_call_sequences(draw):
     circuits.append(Circuit(2, first.gates + (draw(single_gates),), dict(first.metadata)))
     params = [NoiseParams(), NoiseParams(), draw(noise_params())]
     calls = draw(st.lists(st.tuples(
-        st.integers(0, len(circuits) - 1), st.integers(0, len(params) - 1),
-        st.sampled_from(("call", "call", "flip j_sign", "set b_over_j")),
-        st.floats(-5.0, 5.0)), min_size=2, max_size=16))
+        st.integers(0, len(circuits) - 1), st.integers(0, len(params) - 1)),
+        min_size=2, max_size=16))
     return circuits, params, calls
 
 
@@ -532,15 +533,11 @@ def test_memo_of_last_circuit_matches_fresh_call(sequence, seed):
     circuits, params, calls = sequence
     rng = np.random.default_rng(seed)
     results = []
-    for i, k, action, b_over_j in calls:
-        meta = circuits[i].metadata
-        if action == "flip j_sign":
-            meta["j_sign"] = -meta["j_sign"]
-        elif action == "set b_over_j":
-            meta["b_over_j"] = b_over_j
+    for i, k in calls:
         rho0 = random_density(rng)
         rho = simulate_noisy(circuits[i], params[k], rho0)
-        results.append((Circuit(2, circuits[i].gates, dict(meta)), params[k], rho0, rho))
+        results.append((Circuit(2, circuits[i].gates, circuits[i].metadata), params[k],
+                        rho0, rho))
     # after the sequence, so that these calls leave its memo hits as they were;
     # a new circuit and a distinct NoiseParams cannot hit the memo
     for circuit, p, rho0, rho in results:
@@ -562,11 +559,11 @@ def test_failed_resolution_is_not_remembered():
     c, params = compiled_circuit("ising", 1.0, 1, 2.0, -1), NoiseParams()
     rho0 = np.outer(FIG3, FIG3.conj())
     expected = simulate_noisy(c, params, rho0)
-    c.metadata["b_over_j"] = "not a number"
+    # the header does not check theta, which the z fraction of a Q2 phase gate reads
+    bad = Circuit(2, c.gates, {**c.metadata, "theta": "not a number"})
     for _ in range(2):
         with pytest.raises(ValueError, match="could not convert"):
-            simulate_noisy(c, params, rho0)
-    c.metadata["b_over_j"] = 2.0
+            simulate_noisy(bad, params, rho0)
     assert simulate_noisy(c, params, rho0).tobytes() == expected.tobytes()
 
 

@@ -32,11 +32,22 @@ COMMANDS = ("simulate", "trotter-scan", "tomography", "schedule")
 PROTOCOLS = ("xy", "heisenberg", "ising")
 VARIANTS = ((), ("--no-noise",), ("--n-steps", "5", "--j-sign", "1", "--b-over-j", "-2.5"),
             ("--thetas", "0"), ("--thetas", "5e-324"))
+
+
+def reschedule(protocol: str, *flags: str) -> tuple[tuple[str, ...], ...]:
+    """A chain: schedule one circuit, then parse its dump back and reschedule it."""
+    return (("schedule", "--protocol", protocol, *flags),
+            ("schedule", "--protocol", protocol,
+             "--circuit-in", f"out/{protocol}_theta000_circuit.txt"))
+
+
 # the pulse benchmark's long circuit, and its dump parsed back and rescheduled
-LONG_ISING = ("schedule", "--protocol", "ising", "--n-steps", "200",
-              "--thetas", "1.5707963267948966")
-RESCHEDULE = (LONG_ISING, ("schedule", "--protocol", "ising",
-                           "--circuit-in", "out/ising_theta000_circuit.txt"))
+RESCHEDULE = reschedule("ising", "--n-steps", "200", "--thetas", "1.5707963267948966")
+LONG_ISING = RESCHEDULE[0]
+# each protocol's circuit header through a dump and its reschedule; the ising
+# one with the n, coupling sign and field of the third variant
+HEADERS = (reschedule("xy", "--thetas", "0.7"), reschedule("heisenberg", "--thetas", "0.7"),
+           reschedule("ising", "--thetas", "0.7", *VARIANTS[2]))
 # stacked ideal unitaries: a scan whose grid splits into several (step length,
 # n) groups, a field-free ising grid, and long circuits fed one at a time
 STACKED = (("trotter-scan", "--protocol", "ising", "--thetas", "0,0.7,2.5",
@@ -45,7 +56,7 @@ STACKED = (("trotter-scan", "--protocol", "ising", "--thetas", "0,0.7,2.5",
            ("simulate", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"))
 INVOCATIONS = tuple((cmd, "--protocol", p) + v
                     for v in VARIANTS for cmd in COMMANDS for p in PROTOCOLS
-                    ) + (LONG_ISING, RESCHEDULE) + STACKED
+                    ) + (LONG_ISING, RESCHEDULE) + HEADERS + STACKED
 
 # a number not glued to a preceding word, so "theta000" stays text
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
