@@ -105,8 +105,7 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     circuits stays flat in memory.
     """
     if isinstance(circuits, Circuit):
-        j_sign = circuits.metadata.get("j_sign", -1)
-        return circuit_matrix(circuits, lambda g: gate_unitary(g, j_sign), 4)
+        return circuit_matrix(circuits, lambda g: gate_unitary(g, circuits.j_sign), 4)
     # (step length, n) -> (indices into the result, each circuit's step matrices)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     for i, c in enumerate(circuits):
@@ -114,7 +113,7 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
         index, mats = groups.setdefault((len(step), n), ([], []))
         index.append(i)
         # a cache hit per gate, in C, costs less than finding repeats in Python
-        mats.append(list(map(gate_unitary, step, repeat(c.metadata.get("j_sign", -1)))))
+        mats.append(list(map(gate_unitary, step, repeat(c.j_sign))))
     total = sum(len(index) for index, _ in groups.values())
     out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():

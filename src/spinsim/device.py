@@ -19,7 +19,6 @@ import, and scheduling must not load numpy.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .ir import Gate
@@ -66,15 +65,16 @@ class TimingParams:
         # inverse detuning; 5 ns at 200 MHz
         return 1000.0 / self.detuning_mhz
 
-    def rz_flux_ns(self, gate: Gate, metadata: Mapping) -> float:
-        """Flux-pulse length of a compiled z-phase gate.
+    def rz_flux_ns(self, gate: Gate, b_over_j: float) -> float:
+        """Flux-pulse length of a compiled z-phase gate in a circuit whose
+        field is ``b_over_j`` (``Circuit.b_over_j``).
 
         The per-step z slot lasts the step's allotted interaction time; a gate
         carrying a fraction of the step's z angle takes the same fraction of
-        that time.  Hand-built circuits without field metadata fall back to
-        the single-qubit pulse length.
+        that time.  Without a field (``b_over_j`` 0) a z gate takes the
+        single-qubit pulse length.
         """
-        b = abs(metadata.get("b_over_j", 0.0))
+        b = abs(b_over_j)
         if b > 0.0:
             return self.theta_to_ns * 2.0 * abs(gate.angle) / b
         return self.single_qubit_ns
@@ -112,24 +112,15 @@ class NoiseParams:
             raise ValueError("error angles must be finite")
 
 
-def _step_z_fraction(gate: Gate, metadata: Mapping) -> float:
-    """Fraction of one Trotter step's z rotation carried by this gate."""
-    theta = float(metadata.get("theta", 0.0))
-    n, b = metadata.get("n_steps", 1), metadata.get("b_over_j", 0.0)
-    full = abs(b) * theta / (2.0 * n)
-    if full <= 0.0:
-        return 1.0
-    return abs(gate.angle) / full
-
-
-def gate_duration_ns(gate: Gate, params: NoiseParams, metadata: Mapping) -> float:
-    """Wall-clock footprint of one gate, waits included for flux pulses."""
+def gate_duration_ns(gate: Gate, params: NoiseParams, b_over_j: float) -> float:
+    """Wall-clock footprint of one gate, waits included for flux pulses, in a
+    circuit whose field is ``b_over_j``."""
     t = params.timing
     if gate.kind == "XY":
         return t.theta_to_ns * gate.theta + 2.0 * t.buffer_ns + t.post_flux_wait_ns
     if gate.kind == "ROT":
         if gate.axis == "z":
-            return t.rz_flux_ns(gate, metadata) + t.post_flux_wait_ns
+            return t.rz_flux_ns(gate, b_over_j) + t.post_flux_wait_ns
         return t.single_qubit_ns
     return gate.duration_ns  # WAIT; Gate rejects every other kind
 

@@ -27,13 +27,14 @@ identity) so that noisy simulations see the same pulse load as the hardware
 sequence.  ``compile_ising`` builds one Trotter step and repeats it n times;
 ``Circuit`` checks and freezes its header once, and its ``step`` holds that
 step for any circuit whose gates are exactly ``n_steps`` copies of one step.
+``Circuit`` is the one reader of the header: the other modules read its
+typed fields ``j_sign``, ``b_over_j`` and ``z_angle``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -105,35 +106,48 @@ class Gate(_GateFields):
 class Circuit:
     """A gate sequence on the two-qubit register, with a read-only header.
 
-    The header's physics keys are checked here and nowhere else: ``j_sign``
-    in {-1, 1}, ``n_steps`` an integer >= 1 and ``b_over_j`` finite, each
-    optional.  ``step`` is the circuit as (step, n) with ``step * n ==
-    gates``, found once: header ``n_steps`` is only a candidate for n, so a
-    circuit whose gates are not that many copies of one step is its own step,
-    with n = 1.  Pickling and copying rebuild the circuit, checks included.
+    The header is read here and nowhere else.  Its physics keys are each
+    optional and checked: ``j_sign`` in {-1, 1}, ``n_steps`` an integer >= 1
+    that a float can hold, and ``b_over_j`` and ``theta`` finite numbers; no
+    ``bool`` passes.  The other modules read the typed fields: ``j_sign``,
+    ``b_over_j`` and ``z_angle``, one Trotter step's z rotation
+    |b_over_j| theta / (2 n_steps).  ``step`` is the circuit as (step, n)
+    with ``step * n == gates``, found once: header ``n_steps`` is only a
+    candidate for n, so a circuit whose gates are not that many copies of
+    one step is its own step, with n = 1.  ``metadata`` stays the read-only
+    header that the text dump writes.  Pickling and copying rebuild the
+    circuit, checks included.
     """
 
     n_qubits: int
     gates: tuple[Gate, ...]
-    metadata: Mapping = field(default_factory=dict)
+    metadata: MappingProxyType = field(default_factory=dict)  # built from any mapping
     step: tuple = field(init=False, repr=False, compare=False)
+    j_sign: int = field(init=False, repr=False, compare=False)
+    b_over_j: float = field(init=False, repr=False, compare=False)
+    z_angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.n_qubits, int) and self.n_qubits == 2):
             raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits!r}")
         meta = MappingProxyType(dict(self.metadata))
         j, n, b = meta.get("j_sign", -1), meta.get("n_steps", 1), meta.get("b_over_j", 0.0)
-        if not (isinstance(j, int) and j in (-1, 1)):
+        theta, big = meta.get("theta", 0.0), sys.float_info.max
+        if not (type(j) is int and j in (-1, 1)):
             raise ValueError(f"j_sign must be +1 or -1, got {j!r}")
-        if not (isinstance(n, int) and n >= 1):
-            raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
-        # NaN fails the comparison; an int beyond the float range fails it too
-        if not (isinstance(b, (int, float)) and abs(b) <= sys.float_info.max):
-            raise ValueError(f"b_over_j must be finite, got {b!r}")
+        if not (type(n) is int and 1 <= n <= big):
+            raise ValueError(f"n_steps must be an integer >= 1 that a float can hold, got {n!r}")
+        for key, v in (("b_over_j", b), ("theta", theta)):
+            # NaN fails the comparison; an int beyond the float range fails it too
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= big):
+                raise ValueError(f"{key} must be finite, got {v!r}")
         gates, k = self.gates, len(self.gates) // n
         repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
-        object.__setattr__(self, "metadata", meta)
-        object.__setattr__(self, "step", (gates[:k], n) if repeats else (gates, 1))
+        # z_angle is a float product, so two large int header values give inf
+        for name, value in (("metadata", meta), ("j_sign", j), ("b_over_j", b),
+                            ("z_angle", abs(b) * float(theta) / (2.0 * n)),
+                            ("step", (gates[:k], n) if repeats else (gates, 1))):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return type(self), (self.n_qubits, self.gates, dict(self.metadata))

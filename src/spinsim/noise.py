@@ -27,6 +27,9 @@ alone, so it is the tensor product of two one-qubit 4x4 Liouville matrices,
 each the T1/T2 decay [[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0,
 0, 1 - gamma]] with c = sqrt(1 - lambda) * sqrt(1 - gamma); on the qubit a
 microwave (x/y) rotation drives, the decay follows the depolarizing kick.
+The coupling sign, the field and the step's z angle are the circuit's typed
+fields ``j_sign``, ``b_over_j`` and ``z_angle``; a Q2 z-phase gate's z
+fraction is |angle| / ``z_angle``, or 1 when that angle is not positive.
 Superoperators are built once per distinct (gate, coupling sign, z
 fraction, duration, parameters) and kept in a bounded cache.
 ``simulate_noisy`` composes the circuit's superoperators into one 16x16
@@ -47,8 +50,8 @@ import numpy as np
 
 from .circuits import Circuit, Gate, circuit_matrix, gate_unitary
 # the device names stay importable from here
-from .device import (THETA_TO_NS, NoiseParams, TimingParams, _step_z_fraction,
-                     gate_duration_ns, predicted_fidelity)
+from .device import (THETA_TO_NS, NoiseParams, TimingParams, gate_duration_ns,
+                     predicted_fidelity)
 from .linalg import ID2, SX, SY, SZ, check_density_matrix, kron
 
 
@@ -180,13 +183,13 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> n
     """Propagate a density matrix through the circuit under the noise model."""
     global _last
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
-    meta = circuit.metadata
-    j_sign = meta.get("j_sign", -1)
+    j_sign, b, z_angle = circuit.j_sign, circuit.b_over_j, circuit.z_angle
 
     def superop(g: Gate) -> np.ndarray:
-        z_frac = (_step_z_fraction(g, meta)
-                  if g.kind == "ROT" and g.axis == "z" and g.qubit == 1 else 0.0)
-        return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, meta), params)
+        z_frac = 0.0  # a Q2 phase gate's share of the step's z rotation
+        if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
+            z_frac = abs(g.angle) / z_angle if z_angle > 0.0 else 1.0
+        return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, b), params)
 
     last_circuit, last_params, s = _last
     if not (circuit is last_circuit and params is last_params):

@@ -106,7 +106,7 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
         closes.insert(i, e + wait - _TOL)
 
     def place_rz(idx: int, g: Gate, t0: float) -> None:
-        dur = timing.rz_flux_ns(g, circuit.metadata)
+        dur = timing.rz_flux_ns(g, circuit.b_over_j)
         events.append(PulseEvent(_FLUX[g.qubit], t0, dur, "rz", idx))
         add_unit_end(t0 + dur)
         ready[g.qubit] = t0 + dur

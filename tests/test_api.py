@@ -69,6 +69,18 @@ def test_every_export_is_used_outside_its_definition():
     assert sorted(m for m in members if m.split(".")[1] not in used) == []
 
 
+def test_only_ir_reads_the_circuit_header():
+    """``ir.Circuit`` reads and checks the header; every other module reads its
+    typed fields.  A read is a NAME token ``metadata`` in a src/spinsim module."""
+    readers = []
+    for path in sorted((SRC / "spinsim").glob("*.py")):
+        with tokenize.open(path) as f:
+            if any(tok.type == tokenize.NAME and tok.string == "metadata"
+                   for tok in tokenize.generate_tokens(f.readline)):
+                readers.append(path.name)
+    assert readers == ["ir.py"]
+
+
 def test_star_import():
     namespace: dict = {}
     exec("from spinsim import *", namespace)

@@ -329,6 +329,8 @@ def test_flag_overrides_beat_config(tmp_path):
 FIELD_CIRCUIT = ("# n_qubits=2 protocol=ising b_over_j={}\n"
                  "ROT axis=z angle=0.5 q=0\nROT axis=z angle=0.5 q=1\nXY theta=1.0\n")
 HUGE = 10 ** 400  # a JSON integer that no float can hold
+THETA_CIRCUIT = ("# n_qubits=2 protocol=ising b_over_j=2.0 theta={}\n"
+                 "ROT axis=z angle=0.5 q=1\nXY theta=1.0\n")
 
 BAD_CIRCUITS = {
     "bad.txt": "# n_qubits=2\nXY foo=1\n",
@@ -341,6 +343,8 @@ BAD_CIRCUITS = {
     "b-over-j-inf.txt": FIELD_CIRCUIT.format("inf"),
     "b-over-j-tiny.txt": FIELD_CIRCUIT.format("1e-310"),
     "b-over-j-huge-int.txt": FIELD_CIRCUIT.format(HUGE),
+    "theta-nan.txt": THETA_CIRCUIT.format("nan"),
+    "theta-x.txt": THETA_CIRCUIT.format("x"),
     "j-sign-float.txt": "# n_qubits=2 j_sign=1.0\nXY theta=1.0\n",
     "n-qubits-float.txt": "# n_qubits=2.0\nXY theta=1.0\n",
     "n-steps-fractional.txt": "# n_qubits=2 n_steps=2.5\nXY theta=1.0\nXY theta=1.0\n",
@@ -405,6 +409,10 @@ BAD_CIRCUITS = {
                  id="circuit-in-n-steps-negative"),
     pytest.param("schedule", {}, ["--circuit-in", "b-over-j-huge-int.txt"],
                  id="circuit-in-b-over-j-huge-int"),
+    pytest.param("schedule", {}, ["--circuit-in", "theta-nan.txt"],
+                 id="circuit-in-theta-nan"),
+    pytest.param("schedule", {}, ["--circuit-in", "theta-x.txt"],
+                 id="circuit-in-theta-text"),
     pytest.param("schedule", {}, ["--circuit-in", "j-sign-float.txt"],
                  id="circuit-in-j-sign-float"),
     pytest.param("schedule", {}, ["--circuit-in", "n-qubits-float.txt"],

@@ -218,33 +218,33 @@ class TestNoiseParams:
 class TestGateDurations:
     def test_xy_duration_includes_buffers_and_wait(self):
         p = NoiseParams()
-        d = gate_duration_ns(Gate.xy(np.pi), p, {})
+        d = gate_duration_ns(Gate.xy(np.pi), p, 0.0)
         assert d == pytest.approx(THETA_TO_NS * np.pi + 32.0 + 40.0)
 
     def test_single_qubit_duration(self):
         p = NoiseParams()
-        assert gate_duration_ns(Gate.rot("x", np.pi, 0), p, {}) == 24.0
+        assert gate_duration_ns(Gate.rot("x", np.pi, 0), p, 0.0) == 24.0
 
     def test_rz_duration_from_step_metadata(self):
         p = NoiseParams()
         c = compile_ising(EvolutionParams(2.0, 4, 3.0))
         rz = next(g for g in c.gates if g.kind == "ROT" and g.axis == "z")
-        d = gate_duration_ns(rz, p, c.metadata)
+        d = gate_duration_ns(rz, p, c.b_over_j)
         # half of the step's allotted flux time plus the post-flux wait
         assert d == pytest.approx(THETA_TO_NS * 2.0 / (2 * 4) + 40.0)
 
     def test_wait_duration(self):
         p = NoiseParams()
-        assert gate_duration_ns(Gate.wait(55.5), p, {}) == 55.5
+        assert gate_duration_ns(Gate.wait(55.5), p, 0.0) == 55.5
 
     def test_durations_follow_timing(self):
         p = NoiseParams(timing=TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
                                             post_flux_wait_ns=60.0, theta_to_ns=2.0))
-        assert gate_duration_ns(Gate.xy(np.pi), p, {}) == pytest.approx(
+        assert gate_duration_ns(Gate.xy(np.pi), p, 0.0) == pytest.approx(
             2.0 * np.pi + 20.0 + 60.0)
-        assert gate_duration_ns(Gate.rot("y", 1.0, 1), p, {}) == 30.0
-        # a z gate without field metadata takes the single-qubit pulse length
-        assert gate_duration_ns(Gate.rot("z", 1.0, 0), p, {}) == 90.0
+        assert gate_duration_ns(Gate.rot("y", 1.0, 1), p, 0.0) == 30.0
+        # a z gate without a field takes the single-qubit pulse length
+        assert gate_duration_ns(Gate.rot("z", 1.0, 0), p, 0.0) == 90.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -399,7 +399,7 @@ def kraus_reference(circuit, params, rho0):
         if g.kind == "ROT" and g.axis in ("x", "y"):
             rho = apply(rho, [op_on_qubit(k, g.qubit)
                               for k in depolarizing_kraus(p_depol)])
-        dur = gate_duration_ns(g, params, meta)
+        dur = gate_duration_ns(g, params, meta.get("b_over_j", 0.0))
         ka = decoherence_kraus(dur, params.t1_us[0], params.t2_us[0])
         kb = decoherence_kraus(dur, params.t1_us[1], params.t2_us[1])
         rho = apply(rho, [kron(a, b) for a in ka for b in kb])
@@ -555,15 +555,20 @@ def test_nan_rho0_is_rejected_by_name(index):
         simulate_noisy(c, params, rho0)
 
 
-def test_failed_resolution_is_not_remembered():
+def test_failed_resolution_is_not_remembered(monkeypatch):
     c, params = compiled_circuit("ising", 1.0, 1, 2.0, -1), NoiseParams()
     rho0 = np.outer(FIG3, FIG3.conj())
     expected = simulate_noisy(c, params, rho0)
-    # the header does not check theta, which the z fraction of a Q2 phase gate reads
-    bad = Circuit(2, c.gates, {**c.metadata, "theta": "not a number"})
-    for _ in range(2):
-        with pytest.raises(ValueError, match="could not convert"):
-            simulate_noisy(bad, params, rho0)
+    other = Circuit(2, c.gates, c.metadata)  # an equal circuit, but a new object
+
+    def failing(*args):
+        raise ValueError("no superoperator")
+
+    with monkeypatch.context() as m:
+        m.setattr(spinsim.noise, "_gate_superop", failing)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no superoperator"):
+                simulate_noisy(other, params, rho0)
     assert simulate_noisy(c, params, rho0).tobytes() == expected.tobytes()
 
 

@@ -173,7 +173,7 @@ def test_timeline_and_per_gate_durations_agree():
             c = compile_ising(EvolutionParams(theta, n, 3.0))
             tl = schedule(c, timing)
             footprints = timeline_footprints(tl, c, timing)
-            per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
+            per_gate = [gate_duration_ns(g, params, c.b_over_j) for g in c.gates]
             assert np.allclose(footprints, per_gate, atol=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_schedule_clean_and_footprints_match_charge(protocol, theta, n, b_over_j
     tl = schedule(c, timing)
     assert validate(tl, timing) == []
     params = NoiseParams(timing=timing)
-    per_gate = [gate_duration_ns(g, params, c.metadata) for g in c.gates]
+    per_gate = [gate_duration_ns(g, params, c.b_over_j) for g in c.gates]
     assert np.allclose(timeline_footprints(tl, c, timing), per_gate, atol=1e-9)
 
 
@@ -256,7 +256,7 @@ def schedule_reference(circuit, timing):
         return t
 
     def place_rz(idx, g, t0):
-        dur = timing.rz_flux_ns(g, circuit.metadata)
+        dur = timing.rz_flux_ns(g, circuit.metadata.get("b_over_j", 0.0))
         events.append(PulseEvent(f"flux-Q{g.qubit + 1}", t0, dur, "rz", idx))
         flux_unit_ends.append(t0 + dur)
         ready[g.qubit] = t0 + dur
