@@ -13,15 +13,17 @@ protocol.
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
 
-``simulate`` and ``trotter-scan`` compile one circuit per grid point and feed
-them, one at a time, to one stacked ``circuit_unitary`` call, which keeps only
-each circuit's step matrices; each circuit's noisy state is computed as it
-passes.
-They then analyse the whole grid in stacked calls: the exact states from one
-eigendecomposition of the model Hamiltonian, and the observables,
-negativities and fidelities as arrays.  So a failure of the
-exact evolution shows after the grid's circuits have run, and names its theta.
-``tomography`` analyses each circuit as it runs.
+Every command compiles its circuits through ``build_circuit``.  ``simulate``
+and ``trotter-scan`` share one pipeline, ``_states``: ``trotter-scan`` runs
+the ``simulate`` pipeline of the Ising protocol once for each n of its list,
+theta-major.  The pipeline feeds the circuits, one at a time, to one stacked
+``circuit_unitary`` call, which keeps only each circuit's step matrices; each
+circuit's noisy state is computed as it passes.  The commands then analyse
+the whole grid in stacked calls: the exact states from one eigendecomposition
+of the model Hamiltonian, and the observables, negativities and fidelities as
+arrays.  So a failure of the exact evolution shows after the grid's circuits
+have run, and names its theta.  ``tomography`` analyses each circuit as it
+runs.
 
 Configs, circuits and schedules are plain Python.  ``simulate``,
 ``trotter-scan`` and ``tomography`` import numpy and the numeric modules on
@@ -36,7 +38,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 from .device import F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity
@@ -286,25 +287,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def build_circuit(cfg: RunConfig, theta: float) -> Circuit:
-    # compilers are looked up by name at call time, so a wrapper installed on
-    # this module sees every call
-    if cfg.protocol == "xy":
-        return _compile(compile_xy, EvolutionParams(theta), cfg.j_sign)
-    if cfg.protocol == "heisenberg":
-        return _compile(compile_heisenberg, EvolutionParams(theta), cfg.j_sign)
-    return _compile(compile_ising, EvolutionParams(theta, cfg.n_steps, cfg.b_over_j),
-                    cfg.j_sign)
-
-
-def _compile(compiler, params: EvolutionParams, j_sign: int) -> Circuit:
-    """Run a protocol compiler; an overflowing angle or step count is a config error."""
+    """Compile the config's protocol at theta; an overflowing angle or step
+    count is a config error.  The xy and heisenberg compilers read only theta."""
+    # the compiler is looked up by name at call time, so a wrapper installed
+    # on this module sees every call
+    compiler = {"xy": compile_xy, "heisenberg": compile_heisenberg,
+                "ising": compile_ising}[cfg.protocol]
     try:
-        return compiler(params, j_sign=j_sign)
+        return compiler(EvolutionParams(theta, cfg.n_steps, cfg.b_over_j), j_sign=cfg.j_sign)
     except (OverflowError, ValueError, MemoryError) as exc:  # n too large for memory
-        n = str(params.n_steps)
+        n = str(cfg.n_steps)
         n = n if len(n) <= 20 else f"<{len(n)} digits>"
         reason = str(exc) or type(exc).__name__
-        raise ConfigError(f"cannot compile theta={params.theta!r} n={n}: {reason}") from exc
+        raise ConfigError(f"cannot compile theta={theta!r} n={n}: {reason}") from exc
 
 
 def _check_finite(rows) -> None:
@@ -338,35 +333,41 @@ def _observables(states) -> np.ndarray:
     return np.column_stack([vals, negativity(rho)])
 
 
-def _states(circuits, noise: NoiseParams | None, psi0, rho0) -> tuple:
-    """The circuits' ideal kets, from one stacked ``circuit_unitary`` call, and
-    their noisy states (none without noise).
+def _states(cfgs: list[RunConfig]) -> tuple:
+    """The ideal kets, noisy states (none without noise) and exact states of
+    the configs' circuits, theta-major: one circuit per config at each theta.
 
-    Each circuit is simulated with noise as the call takes it in, after its
-    gate unitaries are looked up, so no circuit is kept once it has run.
+    The configs differ only in their step count.  Each theta's circuits all
+    compile before any runs, so an overflowing field angle is a config error.
+    They go, one at a time, to one stacked ``circuit_unitary`` call; each is
+    simulated with noise as the call takes it in, after its gate unitaries are
+    looked up, so no circuit is kept once it has run.  The exact states come
+    from one ``exact_evolve`` call, repeated once per config.
     """
+    cfg = cfgs[0]
+    h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
+    psi0 = cfg.psi0()
+    rho0 = np.outer(psi0, psi0.conj())
     rhos = []
 
     def run_noisy():
-        for circ in circuits:
-            yield circ
-            if noise is not None:
-                rhos.append(simulate_noisy(circ, noise, rho0))
+        for theta in cfg.theta_grid:
+            for circ in [build_circuit(c, theta) for c in cfgs]:
+                yield circ
+                if cfg.noise is not None:
+                    rhos.append(simulate_noisy(circ, cfg.noise, rho0))
 
-    return np.matvec(circuit_unitary(run_noisy()), psi0), rhos
+    kets = np.matvec(circuit_unitary(run_noisy()), psi0)
+    psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)
+    return kets, rhos, np.repeat(psi_exact, len(cfgs), axis=0)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     _bind_numerics()
-    h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
-    psi0 = cfg.psi0()
-    rho0 = np.outer(psi0, psi0.conj())
     header = ["theta", *_OBS_COLS, "fid_vs_exact"]
     if cfg.noise is not None:
         header += [f"noisy_{k}" for k in _OBS_COLS] + ["noisy_fid_vs_exact"]
-    kets, rhos = _states((build_circuit(cfg, theta) for theta in cfg.theta_grid),
-                         cfg.noise, psi0, rho0)
-    psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)
+    kets, rhos, psi_exact = _states([cfg])
     cols = [_observables(psi_exact), state_fidelity(kets, psi_exact)]
     if cfg.noise is not None:
         cols += [_observables(rhos), state_fidelity(rhos, psi_exact)]
@@ -377,16 +378,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     _bind_numerics()
-    h = oracle_hamiltonian("ising", cfg.b_over_j, cfg.j_sign)
-    psi0 = replace(cfg, protocol="ising").psi0()
-    rho0 = np.outer(psi0, psi0.conj())
-    # every n of a theta compiles before any runs: an overflowing field angle
-    # is a config error
-    per_theta = ([_compile(compile_ising, EvolutionParams(theta, n, cfg.b_over_j), cfg.j_sign)
-                  for n in cfg.n_list] for theta in cfg.theta_grid)
-    kets, rhos = _states(chain.from_iterable(per_theta), cfg.noise, psi0, rho0)
-    psi_exact = np.repeat(exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0),
-                          len(cfg.n_list), axis=0)
+    kets, rhos, psi_exact = _states([replace(cfg, protocol="ising", n_steps=n)
+                                     for n in cfg.n_list])
     fid_ideal = state_fidelity(kets, psi_exact).tolist()
     fid_noisy = fid_ideal if cfg.noise is None else state_fidelity(rhos, psi_exact).tolist()
     f_s = {n: predicted_fidelity(n, F_P_XY_REFERENCE)[1] for n in cfg.n_list}

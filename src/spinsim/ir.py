@@ -111,10 +111,10 @@ class Circuit:
     that a float can hold, and ``b_over_j`` and ``theta`` finite numbers; no
     ``bool`` passes.  The other modules read the typed fields: ``j_sign``,
     ``b_over_j`` and ``z_angle``, one Trotter step's z rotation
-    |b_over_j| theta / (2 n_steps).  ``step`` is the circuit as (step, n)
-    with ``step * n == gates``, found once: header ``n_steps`` is only a
-    candidate for n, so a circuit whose gates are not that many copies of
-    one step is its own step, with n = 1.  ``metadata`` stays the read-only
+    |b_over_j| theta / (2 n_steps), which must be finite too.  ``step`` is
+    the circuit as (step, n) with ``step * n == gates``, found once: header
+    ``n_steps`` is only a candidate for n, so a circuit whose gates are not
+    that many copies of one step is its own step, with n = 1.  ``metadata`` stays the read-only
     header that the text dump writes.  Pickling and copying rebuild the
     circuit, checks included.
     """
@@ -141,11 +141,13 @@ class Circuit:
             # NaN fails the comparison; an int beyond the float range fails it too
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= big):
                 raise ValueError(f"{key} must be finite, got {v!r}")
+        z_angle = abs(b) * float(theta) / (2.0 * n)  # inf if the product overflows
+        if not math.isfinite(z_angle):
+            raise ValueError(f"b_over_j and theta overflow the z angle: {b!r} * {theta!r}")
         gates, k = self.gates, len(self.gates) // n
         repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
-        # z_angle is a float product, so two large int header values give inf
         for name, value in (("metadata", meta), ("j_sign", j), ("b_over_j", b),
-                            ("z_angle", abs(b) * float(theta) / (2.0 * n)),
+                            ("z_angle", z_angle),
                             ("step", (gates[:k], n) if repeats else (gates, 1))):
             object.__setattr__(self, name, value)
 

@@ -74,7 +74,10 @@ def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:
 def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
     """Greedy earliest-start assignment in gate order.
 
-    Raises ValueError for a circuit whose pulse times overflow the float range.
+    Raises ValueError for a circuit whose timeline ends where one ulp of a
+    time exceeds the 1e-9 ns tolerance (at 2**23 ns, about 8.4 ms, or later),
+    so that the timing checks could no longer resolve it; the float range's
+    overflow is a case of this.
     """
     period = timing.phase_period_ns
     wait = timing.post_flux_wait_ns
@@ -157,8 +160,8 @@ def schedule(circuit: Circuit, timing: TimingParams) -> PulseTimeline:
 
     total = max([cursor_floor, *ready] + [e + wait for e, _ in ends]
                 + [start + dur for _, start, dur, _, _ in events])
-    if not math.isfinite(total):  # a pulse or wait overflowed the float range
-        raise ValueError(f"pulse times overflow: the timeline ends at {total} ns")
+    if not math.ulp(total) <= _TOL:  # total >= 2**23 ns; inf and NaN fail too
+        raise ValueError(f"pulse times overflow: the timeline ends at {total} ns, not below 2**23")
 
     events.sort(key=_ORDER)
     return PulseTimeline(tuple(events), total)

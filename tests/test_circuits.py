@@ -182,13 +182,14 @@ def test_circuit_is_two_qubit(make):
 @pytest.mark.parametrize("meta", [
     {"n_steps": 0}, {"n_steps": 2.5}, {"j_sign": 5}, {"b_over_j": math.nan},
     {"b_over_j": "x"}, {"b_over_j": 10 ** 400}, {"j_sign": True}, {"n_steps": True},
-    {"b_over_j": False}, {"theta": False}, {"n_steps": 10 ** 400}],
+    {"b_over_j": False}, {"theta": False}, {"n_steps": 10 ** 400},
+    # finite values whose z angle |b_over_j| theta / (2 n_steps) overflows
+    {"b_over_j": 1e200, "theta": 1e200}],
     ids=["n_steps-0", "n_steps-2.5", "j_sign-5", "b_over_j-nan", "b_over_j-text",
          "b_over_j-beyond-float", "j_sign-bool", "n_steps-bool", "b_over_j-bool",
-         "theta-bool", "n_steps-beyond-float"])
+         "theta-bool", "n_steps-beyond-float", "z-angle-overflow"])
 def test_circuit_rejects_a_bad_header_by_name(meta):
-    (key,) = meta
-    with pytest.raises(ValueError, match=f"^{key} "):
+    with pytest.raises(ValueError, match=f"^{' and '.join(meta)} "):
         Circuit(2, (Gate.xy(1.0), Gate.rot("z", 0.3, 1)), meta)
 
 

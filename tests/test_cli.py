@@ -29,6 +29,12 @@ def read_csv(path: Path):
     return header, rows
 
 
+def text_rows(path: Path) -> list[dict]:
+    """A CSV output's rows as dicts of the printed text."""
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -215,6 +221,33 @@ class TestTrotterScan:
             assert row["fid_noisy"] == float(f"{expected:.12g}")
             assert row["fid_noisy"] < row["fid_ideal_trotter"]
 
+    @pytest.mark.parametrize("thetas, n_list, b_over_j, j_sign, state, flags", [
+        ("0,0.3,1.7,3.1", "1,2,5", -2.5, 1, "bell", []),
+        ("0,0.3,1.7,3.1", "1,2,5", -2.5, 1, "bell", ["--no-noise"]),
+        ("0.5,2", "3,1", 3.0, -1, None, []),
+        ("0.001,6.2", "4", 0.0, -1, "up-up", ["--no-noise"]),
+        ("0.7", "2,7", 1.25, 1, "fig2", []),
+    ])
+    def test_each_n_equals_simulate(self, tmp_path, thetas, n_list, b_over_j, j_sign,
+                                    state, flags):
+        """Each scan row's fidelities are, as text, the ``fid_vs_exact`` and
+        ``noisy_fid_vs_exact`` of ``simulate --protocol ising --n-steps n``."""
+        common = ["--thetas", thetas, f"--b-over-j={b_over_j}", f"--j-sign={j_sign}", *flags]
+        if state is not None:
+            common += ["--initial-state", state]
+        assert main(["trotter-scan", "--n-list", n_list, *common,
+                     "--out", str(tmp_path / "scan")]) == 0
+        scan = text_rows(tmp_path / "scan" / "trotter_scan.csv")
+        noisy = "fid_vs_exact" if "--no-noise" in flags else "noisy_fid_vs_exact"
+        for n in n_list.split(","):
+            out = tmp_path / f"n{n}"
+            assert main(["simulate", "--protocol", "ising", "--n-steps", n, *common,
+                         "--out", str(out)]) == 0
+            sim = text_rows(out / "ising_dynamics.csv")
+            assert ([(r["theta"], r["fid_ideal_trotter"], r["fid_noisy"])
+                     for r in scan if r["n"] == n]
+                    == [(r["theta"], r["fid_vs_exact"], r[noisy]) for r in sim])
+
 
 class TestTomographyCommand:
     def test_noiseless_process_fidelity_one(self, tmp_path):
@@ -345,6 +378,9 @@ BAD_CIRCUITS = {
     "b-over-j-huge-int.txt": FIELD_CIRCUIT.format(HUGE),
     "theta-nan.txt": THETA_CIRCUIT.format("nan"),
     "theta-x.txt": THETA_CIRCUIT.format("x"),
+    # finite header values whose z angle overflows
+    "z-angle-overflow.txt": ("# n_qubits=2 protocol=ising b_over_j=1e+200 theta=1e+200\n"
+                             "ROT axis=z angle=0.5 q=1\nXY theta=1.0\n"),
     "j-sign-float.txt": "# n_qubits=2 j_sign=1.0\nXY theta=1.0\n",
     "n-qubits-float.txt": "# n_qubits=2.0\nXY theta=1.0\n",
     "n-steps-fractional.txt": "# n_qubits=2 n_steps=2.5\nXY theta=1.0\nXY theta=1.0\n",
@@ -413,6 +449,8 @@ BAD_CIRCUITS = {
                  id="circuit-in-theta-nan"),
     pytest.param("schedule", {}, ["--circuit-in", "theta-x.txt"],
                  id="circuit-in-theta-text"),
+    pytest.param("schedule", {}, ["--circuit-in", "z-angle-overflow.txt"],
+                 id="circuit-in-z-angle-overflow"),
     pytest.param("schedule", {}, ["--circuit-in", "j-sign-float.txt"],
                  id="circuit-in-j-sign-float"),
     pytest.param("schedule", {}, ["--circuit-in", "n-qubits-float.txt"],
@@ -613,6 +651,8 @@ def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):
 
     The tracer in perfbench/tracing.py replaces these module attributes for a
     traced pass; a renamed or bypassed one would silently drop its spans.
+    Every command compiles through the wrapped compilers: a compiler table
+    built at import would miss the wrappers.
     """
     import runpy
 
@@ -636,6 +676,16 @@ def test_benchmark_tracer_names_resolve(tmp_path, monkeypatch):
         assert main(["simulate", "--protocol", protocol, "--thetas", "1.0",
                      "--no-noise", "--out", str(tmp_path)]) == 0
     assert calls == ["compile_ising", "compile_heisenberg"]
+    calls.clear()
+    assert main(["trotter-scan", "--thetas", "0.5,1.0", "--n-list", "1,3",
+                 "--no-noise", "--out", str(tmp_path)]) == 0
+    assert calls == ["compile_ising"] * 4
+    calls.clear()
+    assert main(["tomography", "--protocol", "heisenberg", "--thetas", "1.0",
+                 "--no-noise", "--out", str(tmp_path)]) == 0
+    assert main(["schedule", "--protocol", "ising", "--thetas", "1.0",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == ["compile_heisenberg", "compile_ising"]
 
 
 def test_benchmark_tracer_spans_are_called(tmp_path, monkeypatch):

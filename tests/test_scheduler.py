@@ -407,13 +407,43 @@ hand_built_circuits = st.builds(
 @given(circuit=st.one_of(compiled_circuits, hand_built_circuits), timing=timings)
 def test_schedule_matches_rescan_reference(circuit, timing):
     ref = schedule_reference(circuit, timing)
-    if not np.isfinite(ref.total_ns):  # e.g. a subnormal b_over_j: infinite rz
+    # an end at or beyond 2**23 ns, e.g. from a tiny b_over_j: long rz pulses
+    if not math.ulp(ref.total_ns) <= _TOL:
         with pytest.raises(ValueError, match="overflow"):
             schedule(circuit, timing)
         return
     tl = schedule(circuit, timing)
     assert timeline_to_csv(tl) == timeline_to_csv(ref)
     assert tl == ref  # every float, total_ns included
+
+
+def thetas_around(protocol, end_ns, timing):
+    """Two neighbouring floats theta whose reference timelines (ising: n = 3,
+    B/J = 3) end before end_ns and at or after it, found by bisection."""
+    def end(theta):
+        return schedule_reference(compiled_circuit(protocol, theta, 3, 3.0, -1),
+                                  timing).total_ns
+    lo, hi = 0.0, end_ns / timing.theta_to_ns  # one xy pulse alone lasts end_ns
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if end(mid) < end_ns else (lo, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("timing", [TimingParams(), NON_DEFAULT_TIMING],
+                         ids=["default", "non-default"])
+@pytest.mark.parametrize("protocol", ["xy", "heisenberg", "ising"])
+def test_timeline_ends_from_2_23_ns_are_refused(protocol, timing):
+    """From 2**23 ns (8.4 ms) on, one ulp of a time exceeds _TOL, so the
+    timing checks cannot resolve the timeline (ising circuits fail the
+    commensurability check from about 2**24 ns).  Ends just below validate
+    clean."""
+    lo, hi = thetas_around(protocol, 2.0 ** 23, timing)
+    for theta in [lo * (1 - k * 1e-5) for k in range(20)]:
+        tl = schedule(compiled_circuit(protocol, theta, 3, 3.0, -1), timing)
+        assert 2.0 ** 22 < tl.total_ns < 2.0 ** 23
+        assert validate(tl, timing) == []
+    with pytest.raises(ValueError, match="overflow"):
+        schedule(compiled_circuit(protocol, hi, 3, 3.0, -1), timing)
 
 
 # A paired rz pulse on Q1 and Q2 with angles a1 and a2 (pulse lengths in ns
