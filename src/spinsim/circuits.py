@@ -38,6 +38,7 @@ import math
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -101,19 +102,19 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     (T, 4, 4) stack of theirs, each bit for bit its single call's: the
     circuits of equal (step length, n) are multiplied out together, each
     step position as one stack of gate matrices.  Only each circuit's step
-    matrices are kept while the iterable runs, so a generator of long
-    circuits stays flat in memory.
+    matrices are kept while the iterable runs, and no circuit is held once
+    the next is drawn, so a generator of long circuits stays flat in memory.
     """
     if isinstance(circuits, Circuit):
         return circuit_matrix(circuits, lambda g: gate_unitary(g, circuits.j_sign), 4)
     # (step length, n) -> (indices into the result, each circuit's step matrices)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
-    for i, c in enumerate(circuits):
-        step, n = c.step
+    # no loop variable holds a circuit, so each can be freed as the next is made
+    for i, ((step, n), j_sign) in enumerate(map(attrgetter("step", "j_sign"), circuits)):
         index, mats = groups.setdefault((len(step), n), ([], []))
         index.append(i)
         # a cache hit per gate, in C, costs less than finding repeats in Python
-        mats.append(list(map(gate_unitary, step, repeat(c.j_sign))))
+        mats.append(list(map(gate_unitary, step, repeat(j_sign))))
     total = sum(len(index) for index, _ in groups.values())
     out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():

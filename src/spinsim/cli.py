@@ -339,10 +339,11 @@ def _states(cfgs: list[RunConfig]) -> tuple:
 
     The configs differ only in their step count.  Each theta's circuits all
     compile before any runs, so an overflowing field angle is a config error.
-    They go, one at a time, to one stacked ``circuit_unitary`` call; each is
-    simulated with noise as the call takes it in, after its gate unitaries are
-    looked up, so no circuit is kept once it has run.  The exact states come
-    from one ``exact_evolve`` call, repeated once per config.
+    Each is simulated with noise and then handed, one at a time, to one
+    stacked ``circuit_unitary`` call, which keeps only its step and coupling
+    sign; the pipeline drops each circuit as it hands it on, so no circuit
+    outlives its runs.  The exact states come from one ``exact_evolve`` call,
+    repeated once per config.
     """
     cfg = cfgs[0]
     h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
@@ -352,10 +353,11 @@ def _states(cfgs: list[RunConfig]) -> tuple:
 
     def run_noisy():
         for theta in cfg.theta_grid:
-            for circ in [build_circuit(c, theta) for c in cfgs]:
-                yield circ
+            circuits = [build_circuit(c, theta) for c in cfgs]
+            while circuits:
                 if cfg.noise is not None:
-                    rhos.append(simulate_noisy(circ, cfg.noise, rho0))
+                    rhos.append(simulate_noisy(circuits[0], cfg.noise, rho0))
+                yield circuits.pop(0)
 
     kets = np.matvec(circuit_unitary(run_noisy()), psi0)
     psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)

@@ -28,7 +28,12 @@ sequence.  ``compile_ising`` builds one Trotter step and repeats it n times;
 ``Circuit`` checks and freezes its header once, and its ``step`` holds that
 step for any circuit whose gates are exactly ``n_steps`` copies of one step.
 ``Circuit`` is the one reader of the header: the other modules read its
-typed fields ``j_sign``, ``b_over_j`` and ``z_angle``.
+typed fields ``j_sign`` and ``b_over_j``.  The header carries no z angle: a
+step's z rotation is what its own Q2 phase gates carry, and the noise model
+reads it from them.
+
+The text form writes one gate per line.  ``_GATE_TEXT`` lists each kind's
+values once, for both the writer and the parser.
 """
 
 from __future__ import annotations
@@ -109,14 +114,14 @@ class Circuit:
     The header is read here and nowhere else.  Its physics keys are each
     optional and checked: ``j_sign`` in {-1, 1}, ``n_steps`` an integer >= 1
     that a float can hold, and ``b_over_j`` and ``theta`` finite numbers; no
-    ``bool`` passes.  The other modules read the typed fields: ``j_sign``,
-    ``b_over_j`` and ``z_angle``, one Trotter step's z rotation
-    |b_over_j| theta / (2 n_steps), which must be finite too.  ``step`` is
-    the circuit as (step, n) with ``step * n == gates``, found once: header
-    ``n_steps`` is only a candidate for n, so a circuit whose gates are not
-    that many copies of one step is its own step, with n = 1.  ``metadata`` stays the read-only
-    header that the text dump writes.  Pickling and copying rebuild the
-    circuit, checks included.
+    ``bool`` passes.  The other modules read the typed fields ``j_sign`` and
+    ``b_over_j``.  ``step`` is the circuit as (step, n) with
+    ``step * n == gates``, found once: header ``n_steps`` is only a candidate
+    for n, so a circuit whose gates are not that many copies of one step is
+    its own step, with n = 1.  A step's z rotation is the sum of its own Q2
+    phase-gate angles; no header value restates it.  ``metadata`` stays the
+    read-only header that the text dump writes.  Pickling and copying
+    rebuild the circuit, checks included.
     """
 
     n_qubits: int
@@ -125,29 +130,24 @@ class Circuit:
     step: tuple = field(init=False, repr=False, compare=False)
     j_sign: int = field(init=False, repr=False, compare=False)
     b_over_j: float = field(init=False, repr=False, compare=False)
-    z_angle: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.n_qubits, int) and self.n_qubits == 2):
             raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits!r}")
         meta = MappingProxyType(dict(self.metadata))
         j, n, b = meta.get("j_sign", -1), meta.get("n_steps", 1), meta.get("b_over_j", 0.0)
-        theta, big = meta.get("theta", 0.0), sys.float_info.max
+        big = sys.float_info.max
         if not (type(j) is int and j in (-1, 1)):
             raise ValueError(f"j_sign must be +1 or -1, got {j!r}")
         if not (type(n) is int and 1 <= n <= big):
             raise ValueError(f"n_steps must be an integer >= 1 that a float can hold, got {n!r}")
-        for key, v in (("b_over_j", b), ("theta", theta)):
+        for key, v in (("b_over_j", b), ("theta", meta.get("theta", 0.0))):
             # NaN fails the comparison; an int beyond the float range fails it too
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= big):
                 raise ValueError(f"{key} must be finite, got {v!r}")
-        z_angle = abs(b) * float(theta) / (2.0 * n)  # inf if the product overflows
-        if not math.isfinite(z_angle):
-            raise ValueError(f"b_over_j and theta overflow the z angle: {b!r} * {theta!r}")
         gates, k = self.gates, len(self.gates) // n
         repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
         for name, value in (("metadata", meta), ("j_sign", j), ("b_over_j", b),
-                            ("z_angle", z_angle),
                             ("step", (gates[:k], n) if repeats else (gates, 1))):
             object.__setattr__(self, name, value)
 
@@ -227,6 +227,19 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     return Circuit(n_qubits=2, gates=step * n, metadata=meta)
 
 
+# each gate kind's values in its text line, in order: (text key, Gate field, parser)
+_GATE_TEXT = {
+    "XY": (("theta", "theta", float),),
+    "ROT": (("axis", "axis", str), ("angle", "angle", float), ("q", "qubit", int)),
+    "WAIT": (("ns", "duration_ns", float),),
+}
+
+
+def _text(value) -> str:
+    """A header or gate value as text: a float by repr, so it reads back exactly."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def circuit_to_text(c: Circuit) -> str:
     """Line-oriented text form: one gate per line, metadata in # comments.
 
@@ -235,20 +248,12 @@ def circuit_to_text(c: Circuit) -> str:
     """
     lines = [f"# n_qubits={c.n_qubits}"]
     if c.metadata:
-        parts = []
-        for k in sorted(c.metadata):
-            v = c.metadata[k]
-            parts.append(f"{k}={repr(v) if isinstance(v, float) else v}")
-        lines.append("# " + " ".join(parts))
+        lines.append("# " + " ".join(f"{k}={_text(c.metadata[k])}" for k in sorted(c.metadata)))
     text: dict[int, str] = {}  # by gate id; a repeated gate is formatted once
     for g in c.gates:
         if id(g) not in text:
-            if g.kind == "XY":
-                text[id(g)] = f"XY theta={g.theta!r}"
-            elif g.kind == "ROT":
-                text[id(g)] = f"ROT axis={g.axis} angle={g.angle!r} q={g.qubit}"
-            else:
-                text[id(g)] = f"WAIT ns={g.duration_ns!r}"
+            text[id(g)] = " ".join([g.kind, *(f"{key}={_text(getattr(g, name))}"
+                                              for key, name, _ in _GATE_TEXT[g.kind])])
         lines.append(text[id(g)])
     return "\n".join(lines) + "\n"
 
@@ -283,16 +288,12 @@ def circuit_from_text(text: str) -> Circuit:
                         pass
             continue
         if line not in built:
-            fields = line.split()
-            kind, kv = fields[0], dict(f.split("=", 1) for f in fields[1:])
-            if kind == "XY":
-                built[line] = Gate.xy(float(kv["theta"]))
-            elif kind == "ROT":
-                built[line] = Gate.rot(kv["axis"], float(kv["angle"]), int(kv["q"]))
-            elif kind == "WAIT":
-                built[line] = Gate.wait(float(kv["ns"]))
-            else:
+            kind, *fields = line.split()
+            kv = dict(f.split("=", 1) for f in fields)
+            if kind not in _GATE_TEXT:
                 raise ValueError(f"unknown gate line: {line!r}")
+            built[line] = Gate(kind, **{name: parse(kv[key])
+                                        for key, name, parse in _GATE_TEXT[kind]})
         gates.append(built[line])
     return Circuit(n_qubits=metadata.pop("n_qubits", 2), gates=tuple(gates),
                    metadata=metadata)

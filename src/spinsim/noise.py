@@ -27,23 +27,30 @@ alone, so it is the tensor product of two one-qubit 4x4 Liouville matrices,
 each the T1/T2 decay [[1, 0, 0, gamma], [0, c, 0, 0], [0, 0, c, 0], [0, 0,
 0, 1 - gamma]] with c = sqrt(1 - lambda) * sqrt(1 - gamma); on the qubit a
 microwave (x/y) rotation drives, the decay follows the depolarizing kick.
-The coupling sign, the field and the step's z angle are the circuit's typed
-fields ``j_sign``, ``b_over_j`` and ``z_angle``; a Q2 z-phase gate's z
-fraction is |angle| / ``z_angle``, or 1 when that angle is not positive.
-Superoperators are built once per distinct (gate, coupling sign, z
-fraction, duration, parameters) and kept in a bounded cache.
-``simulate_noisy`` composes the circuit's superoperators into one 16x16
-matrix S with ``circuits.circuit_matrix``, the engine the ideal unitaries use
-too, which describes how a repeated Trotter step is composed and what it
-costs, and returns S vec(rho0).  It keeps the last circuit's S in a one-entry
-memo and reuses it while the next call has the same circuit object, whose
-header is read-only, and the same ``params`` object, as tomography's 17 calls
-per circuit do; rho0 is checked on every call.
+The coupling sign and the field are the circuit's typed fields ``j_sign``
+and ``b_over_j``.  The step's crosstalk and residual ZZ are split over the
+Q2 z-phase gates of ``circuit.step``'s step in proportion to their own
+|angle|: a gate's z fraction is |angle| over the ``math.fsum`` of those
+|angle|s, or 1 when that sum is 0; a sum beyond the float range raises
+``OverflowError``.  The sum is taken only when a circuit is composed.  A
+compiled Ising step repeats its one Q2 phase gate, so each copy carries
+exactly half.  Superoperators are built once
+per distinct (gate, coupling sign, z fraction, duration, parameters) and kept
+in a bounded cache.  ``simulate_noisy`` composes the circuit's superoperators
+into one 16x16 matrix S with ``circuits.circuit_matrix``, the engine the
+ideal unitaries use too, which describes how a repeated Trotter step is
+composed and what it costs, and returns S vec(rho0).  It keeps the last
+circuit's S in a one-entry memo and reuses it while the next call has the
+same circuit object, whose gates and header are read-only, and the same
+``params`` object, as tomography's 17 calls per circuit do; rho0 is checked
+on every call.  The memo holds its circuit by a weak reference, so a circuit
+is freed once its caller drops it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -175,25 +182,30 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     return s
 
 
-# the last circuit simulated: (circuit, params, its superoperator)
-_last = (None, None, None)
+# the last circuit simulated: (a weak reference to it, params, its superoperator);
+# before the first call a lambda stands in for a dead reference
+_last = (lambda: None, None, None)
 
 
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> np.ndarray:
     """Propagate a density matrix through the circuit under the noise model."""
     global _last
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
-    j_sign, b, z_angle = circuit.j_sign, circuit.b_over_j, circuit.z_angle
+    last_ref, last_params, s = _last
+    if not (last_ref() is circuit and params is last_params):
+        j_sign, b = circuit.j_sign, circuit.b_over_j
+        # the step's z rotation, carried by its Q2 phase gates; fsum raises
+        # OverflowError where the sum leaves the float range
+        z_total = math.fsum(abs(g.angle) for g in circuit.step[0]
+                            if g.kind == "ROT" and g.axis == "z" and g.qubit == 1)
 
-    def superop(g: Gate) -> np.ndarray:
-        z_frac = 0.0  # a Q2 phase gate's share of the step's z rotation
-        if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
-            z_frac = abs(g.angle) / z_angle if z_angle > 0.0 else 1.0
-        return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, b), params)
+        def superop(g: Gate) -> np.ndarray:
+            z_frac = 0.0  # a Q2 phase gate's share of the step's z rotation
+            if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
+                z_frac = abs(g.angle) / z_total if z_total > 0.0 else 1.0
+            return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, b), params)
 
-    last_circuit, last_params, s = _last
-    if not (circuit is last_circuit and params is last_params):
         s = circuit_matrix(circuit, superop, 16)
-        _last = (circuit, params, s)
+        _last = (weakref.ref(circuit), params, s)
     rho = (s @ vec).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0

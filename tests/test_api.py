@@ -152,6 +152,29 @@ def test_schedule_and_help_never_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_m_spinsim_runs_the_cli(tmp_path):
+    """``python -m spinsim`` in a fresh interpreter: --help exits 0, and a
+    schedule writes the bytes of the in-process ``main``."""
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "spinsim", *args], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+
+    helped = module("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert helped.stdout.startswith("usage: spinsim ")
+    argv = ["schedule", "--protocol", "ising", "--n-steps", "3", "--thetas", "1.1"]
+    proc = module(*argv, "--out", "fresh")
+    assert proc.returncode == 0, proc.stderr
+    assert spinsim.cli.main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == ["ising_theta000_circuit.txt", "ising_theta000_timeline.csv"]
+    assert names == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    for name in names:
+        assert ((tmp_path / "fresh" / name).read_bytes()
+                == (tmp_path / "in_process" / name).read_bytes())
+
+
 def test_fresh_interpreter_simulate_writes_in_process_bytes(tmp_path):
     argv = ["simulate", "--protocol", "ising", "--n-steps", "2",
             "--thetas", "0.5,1.5", "--initial-state", "bell"]

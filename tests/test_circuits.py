@@ -144,8 +144,7 @@ class TestGateContract:
             assert back == c and type(back) is Circuit
             assert back.step == c.step and back.step[1] == 4
             assert repr(dict(back.metadata)) == repr(dict(c.metadata))
-            assert ((back.j_sign, back.b_over_j, back.z_angle)
-                    == (c.j_sign, c.b_over_j, c.z_angle))
+            assert (back.j_sign, back.b_over_j) == (c.j_sign, c.b_over_j)
             # the copy keeps the shared gate objects of its repeated step
             assert all(a is b for a, b in zip(back.gates, back.step[0] * 4))
             with pytest.raises(TypeError):
@@ -182,12 +181,10 @@ def test_circuit_is_two_qubit(make):
 @pytest.mark.parametrize("meta", [
     {"n_steps": 0}, {"n_steps": 2.5}, {"j_sign": 5}, {"b_over_j": math.nan},
     {"b_over_j": "x"}, {"b_over_j": 10 ** 400}, {"j_sign": True}, {"n_steps": True},
-    {"b_over_j": False}, {"theta": False}, {"n_steps": 10 ** 400},
-    # finite values whose z angle |b_over_j| theta / (2 n_steps) overflows
-    {"b_over_j": 1e200, "theta": 1e200}],
+    {"b_over_j": False}, {"theta": False}, {"n_steps": 10 ** 400}],
     ids=["n_steps-0", "n_steps-2.5", "j_sign-5", "b_over_j-nan", "b_over_j-text",
          "b_over_j-beyond-float", "j_sign-bool", "n_steps-bool", "b_over_j-bool",
-         "theta-bool", "n_steps-beyond-float", "z-angle-overflow"])
+         "theta-bool", "n_steps-beyond-float"])
 def test_circuit_rejects_a_bad_header_by_name(meta):
     with pytest.raises(ValueError, match=f"^{' and '.join(meta)} "):
         Circuit(2, (Gate.xy(1.0), Gate.rot("z", 0.3, 1)), meta)
@@ -196,8 +193,8 @@ def test_circuit_rejects_a_bad_header_by_name(meta):
 @pytest.mark.parametrize("theta", [math.nan, math.inf, 10 ** 400, "x"],
                          ids=["nan", "inf", "beyond-float", "text"])
 def test_bad_header_theta_fails_at_construction(theta):
-    # the step's z angle, which the noise model splits among the Q2 phase
-    # gates, is computed from theta when the circuit is built
+    # theta is checked when the circuit is built, like the other header keys;
+    # the noise model takes a step's z rotation from its gates, not from theta
     c = compile_ising(EvolutionParams(1.0, 2, 2.0))
     with pytest.raises(ValueError, match="^theta "):
         Circuit(2, c.gates, {**c.metadata, "theta": theta})
@@ -205,11 +202,9 @@ def test_bad_header_theta_fails_at_construction(theta):
 
 def test_typed_header_fields():
     c = compile_ising(EvolutionParams(1.5, 3, -2.0), j_sign=1)
-    assert (c.j_sign, c.b_over_j, c.z_angle) == (1, -2.0, 2.0 * 1.5 / 6)
-    # each Q2 phase gate carries half of the step's z rotation
-    assert {abs(g.angle) / c.z_angle for g in c.gates if g.axis == "z"} == {0.5}
+    assert (c.j_sign, c.b_over_j) == (1, -2.0)
     bare = Circuit(2, (Gate.xy(1.0),))
-    assert (bare.j_sign, bare.b_over_j, bare.z_angle) == (-1, 0.0, 0.0)
+    assert (bare.j_sign, bare.b_over_j) == (-1, 0.0)
 
 
 def test_circuit_header_is_a_read_only_copy():

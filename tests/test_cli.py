@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -378,9 +379,7 @@ BAD_CIRCUITS = {
     "b-over-j-huge-int.txt": FIELD_CIRCUIT.format(HUGE),
     "theta-nan.txt": THETA_CIRCUIT.format("nan"),
     "theta-x.txt": THETA_CIRCUIT.format("x"),
-    # finite header values whose z angle overflows
-    "z-angle-overflow.txt": ("# n_qubits=2 protocol=ising b_over_j=1e+200 theta=1e+200\n"
-                             "ROT axis=z angle=0.5 q=1\nXY theta=1.0\n"),
+    "unknown-kind.txt": "# n_qubits=2\nFOO x=1\n",
     "j-sign-float.txt": "# n_qubits=2 j_sign=1.0\nXY theta=1.0\n",
     "n-qubits-float.txt": "# n_qubits=2.0\nXY theta=1.0\n",
     "n-steps-fractional.txt": "# n_qubits=2 n_steps=2.5\nXY theta=1.0\nXY theta=1.0\n",
@@ -449,8 +448,8 @@ BAD_CIRCUITS = {
                  id="circuit-in-theta-nan"),
     pytest.param("schedule", {}, ["--circuit-in", "theta-x.txt"],
                  id="circuit-in-theta-text"),
-    pytest.param("schedule", {}, ["--circuit-in", "z-angle-overflow.txt"],
-                 id="circuit-in-z-angle-overflow"),
+    pytest.param("schedule", {}, ["--circuit-in", "unknown-kind.txt"],
+                 id="circuit-in-unknown-kind"),
     pytest.param("schedule", {}, ["--circuit-in", "j-sign-float.txt"],
                  id="circuit-in-j-sign-float"),
     pytest.param("schedule", {}, ["--circuit-in", "n-qubits-float.txt"],
@@ -540,6 +539,14 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
                  *flags]) == 2
 
 
+def test_unknown_gate_kind_names_the_line(tmp_path, capsys):
+    path = tmp_path / "unknown-kind.txt"
+    path.write_text(BAD_CIRCUITS["unknown-kind.txt"])
+    assert main(["schedule", "--circuit-in", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read circuit {path}: "
+                                       "ValueError(\"unknown gate line: 'FOO x=1'\")\n")
+
+
 def test_huge_n_steps_error_is_one_short_line(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"protocol": "ising", "n_steps": HUGE}))
@@ -578,6 +585,43 @@ def test_exact_evolution_failure_names_theta(tmp_path, capsys):
                  "--thetas", "1,1.5e308,1.6e308", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == ("error: evolution gave a non-finite state "
                                        "at t=7.5e+307 (theta=1.5e+308)\n")
+
+
+def test_subnormal_field_angles_charge_the_normal_share(tmp_path):
+    """At theta = 1e-323 the Q2 phase-gate angles are subnormal; each gate
+    still carries half of its step's crosstalk and residual ZZ, so the noisy
+    columns agree with those at theta = 1e-300."""
+    assert main(["simulate", "--protocol", "ising", "--n-steps", "2", "--b-over-j", "-2.5",
+                 "--thetas", "1e-323,1e-300", "--out", str(tmp_path)]) == 0
+    header, rows = output_numbers(tmp_path / "ising_dynamics.csv")
+    noisy = [i for i, name in enumerate(header.split(",")) if name.startswith("noisy_")]
+    assert len(noisy) == 9
+    assert np.max(np.abs(rows[0, noisy] - rows[1, noisy])) <= 1e-12
+
+
+@pytest.mark.parametrize("argv, live_at_each_run", [
+    (["simulate", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2,2.9"],
+     [1, 1, 1, 1]),
+    (["trotter-scan", "--n-list", "10,20", "--thetas", "0.3,1.7,2.2"], [2, 1, 2, 1, 2, 1]),
+], ids=["simulate", "trotter-scan"])
+def test_no_circuit_outlives_its_noisy_run(tmp_path, monkeypatch, argv, live_at_each_run):
+    """Counted through weak references at each noisy run: only the circuits of
+    the current theta that have not yet run, and the one running, are alive."""
+    build, noisy = spinsim.cli.build_circuit, spinsim.cli.simulate_noisy
+    refs, live = [], []
+
+    def built(*args):
+        circuit = build(*args)
+        refs.append(weakref.ref(circuit))
+        return circuit
+
+    def counted(*args):
+        live.append(sum(ref() is not None for ref in refs))
+        return noisy(*args)
+    monkeypatch.setattr(spinsim.cli, "build_circuit", built)
+    monkeypatch.setattr(spinsim.cli, "simulate_noisy", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert live == live_at_each_run
 
 
 def test_tomography_resolves_each_circuit_once(tmp_path):

@@ -368,22 +368,38 @@ def test_cptp_on_random_states(rng):
         assert np.linalg.eigvalsh(out).min() > -1e-8
 
 
-def step_z_fraction(g, meta):
-    """The gate's share of the step's z rotation |B| theta / (2 n)."""
-    full = (abs(float(meta.get("b_over_j", 0.0))) * float(meta.get("theta", 0.0))
-            / (2.0 * int(meta.get("n_steps", 1))))
+def is_q2_phase(g):
+    return g.kind == "ROT" and g.axis == "z" and g.qubit == 1
+
+
+def oracle_step(circuit):
+    """The circuit's Trotter step, found from its gates: the first len/n gates
+    when the gates are n = header ``n_steps`` copies of them, else all gates."""
+    gates, n = circuit.gates, int(circuit.metadata.get("n_steps", 1))
+    k = len(gates) // n
+    return gates[:k] if k * n == len(gates) and gates[:k] * n == gates else gates
+
+
+def step_z_fraction(g, step):
+    """The gate's share of the step's z rotation: its |angle| over the sum of
+    the |angle|s of the step's Q2 phase gates, or 1 if that sum is 0."""
+    full = math.fsum(abs(h.angle) for h in step if is_q2_phase(h))
     return abs(g.angle) / full if full > 0.0 else 1.0
 
 
-def kraus_reference(circuit, params, rho0):
-    """Gate-by-gate Kraus sums: the engine that the cached superoperators replace."""
+def kraus_reference(circuit, params, rho0, z_fraction=step_z_fraction):
+    """Gate-by-gate Kraus sums: the engine that the cached superoperators replace.
+
+    ``z_fraction(gate, step)`` is the share of the step's crosstalk and
+    residual ZZ that a Q2 phase gate carries.
+    """
     def apply(rho, kraus):
         out = np.zeros_like(rho)
         for k in kraus:
             out += k @ rho @ k.conj().T
         return out
 
-    meta = circuit.metadata
+    meta, step = circuit.metadata, oracle_step(circuit)
     j_sign = int(meta.get("j_sign", -1))
     p_depol = 2.0 * (1.0 - params.single_qubit_fidelity)
     rho = np.asarray(rho0, dtype=complex)
@@ -391,8 +407,8 @@ def kraus_reference(circuit, params, rho0):
         rho = apply(rho, [gate_unitary(g, j_sign)])
         if g.kind == "XY":
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg)])
-        if g.kind == "ROT" and g.axis == "z" and g.qubit == 1:
-            frac = step_z_fraction(g, meta)
+        if is_q2_phase(g):
+            frac = z_fraction(g, step)
             rho = apply(rho, [zz_error_unitary(params.jz_tilde_angle_deg * frac)])
             a = math.radians(params.crosstalk_phase_deg * frac)
             rho = apply(rho, [gate_unitary(Gate.rot("z", a, 1))])
@@ -484,6 +500,25 @@ def test_superoperator_engine_matches_kraus_reference(protocol, theta, n, b_over
     rho = simulate_noisy(c, params, rho0)
     assert np.max(np.abs(rho - kraus_reference(c, params, rho0))) <= 1e-12
     assert_cptp_output(rho)
+
+
+@settings(deadline=None, max_examples=200)
+@given(theta=st.integers(1, 39).map(lambda m: m * 5e-324) | st.floats(1e-3, 4 * np.pi),
+       n=st.integers(1, 8),
+       b_over_j=st.sampled_from((1.0, 3.0, -2.5)) | st.floats(-5.0, 5.0),
+       j_sign=st.sampled_from((-1, 1)),
+       params=st.just(NoiseParams()) | noise_params(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_each_compiled_q2_phase_gate_carries_half_the_step(theta, n, b_over_j, j_sign,
+                                                           params, seed):
+    """A compiled Ising step repeats one Q2 phase gate, so each copy carries
+    exactly half of the step's crosstalk and residual ZZ, subnormal angles
+    included."""
+    c = compile_ising(EvolutionParams(theta, n, b_over_j), j_sign=j_sign)
+    rho0 = random_density(np.random.default_rng(seed))
+    rho = simulate_noisy(c, params, rho0)
+    half = kraus_reference(c, params, rho0, z_fraction=lambda g, step: 0.5)
+    assert np.max(np.abs(rho - half)) <= 1e-12
 
 
 def test_list_times_are_hashable_and_match_tuples():
