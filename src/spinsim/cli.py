@@ -37,11 +37,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .device import F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity
-from .ir import (Circuit, EvolutionParams, circuit_from_text, circuit_to_text,
+from .ir import (Circuit, EvolutionParams, _Record, circuit_from_text, circuit_to_text,
                  compile_heisenberg, compile_ising, compile_xy)
 from .scheduler import schedule, timeline_to_csv, validate
 
@@ -104,18 +104,17 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    protocol: str = "xy"
-    theta_grid: tuple[float, ...] = _DEFAULT_GRID
-    n_steps: int = 1
-    n_list: tuple[int, ...] = (1, 2, 3, 4, 5)
-    b_over_j: float = 3.0
-    initial_state: object = None  # preset name, amplitudes, or None for default
-    noise: NoiseParams | None = NoiseParams()
-    j_sign: int = -1
+class RunConfig(namedtuple("RunConfig", "protocol theta_grid n_steps n_list b_over_j "
+                           "initial_state noise j_sign",
+                           defaults=("xy", _DEFAULT_GRID, 1, (1, 2, 3, 4, 5), 3.0, None,
+                                     NoiseParams(), -1)), _Record):
+    """One run's checked config.  ``initial_state`` is a preset name, four
+    amplitudes, or None for the protocol's default; ``noise`` is None when
+    the noise model is off."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _check(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not math.isfinite(self.b_over_j):
@@ -380,7 +379,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     _bind_numerics()
-    kets, rhos, psi_exact = _states([replace(cfg, protocol="ising", n_steps=n)
+    kets, rhos, psi_exact = _states([cfg._replace(protocol="ising", n_steps=n)
                                      for n in cfg.n_list])
     fid_ideal = state_fidelity(kets, psi_exact).tolist()
     fid_noisy = fid_ideal if cfg.noise is None else state_fidelity(rhos, psi_exact).tolist()

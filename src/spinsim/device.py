@@ -19,9 +19,9 @@ import, and scheduling must not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .ir import Gate
+from .ir import Gate, _Record
 
 J_COUPLING_MHZ = 40.4
 
@@ -41,17 +41,14 @@ DEVICE_CROSSTALK_DEG = -4.6
 DEVICE_SINGLE_QUBIT_FIDELITY = 0.997
 
 
-@dataclass(frozen=True)
-class TimingParams:
+class TimingParams(namedtuple("TimingParams", "single_qubit_ns buffer_ns post_flux_wait_ns "
+                              "detuning_mhz theta_to_ns",
+                              defaults=(24.0, 16.0, 40.0, 200.0, THETA_TO_NS)), _Record):
     """Device timings shared by the noise charge and the pulse scheduler."""
 
-    single_qubit_ns: float = 24.0
-    buffer_ns: float = 16.0
-    post_flux_wait_ns: float = 40.0
-    detuning_mhz: float = 200.0
-    theta_to_ns: float = THETA_TO_NS
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not all(math.isfinite(d) and d >= 0 for d in
                    (self.single_qubit_ns, self.buffer_ns, self.post_flux_wait_ns)):
             raise ValueError("durations must be finite and non-negative")
@@ -80,21 +77,20 @@ class TimingParams:
         return self.single_qubit_ns
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(namedtuple("NoiseParams", "t1_us t2_us jz_tilde_angle_deg "
+                             "crosstalk_phase_deg single_qubit_fidelity timing"), _Record):
     """Calibrated noise model parameters (per-qubit times in microseconds)."""
 
-    t1_us: tuple[float, float] = DEVICE_T1_US
-    t2_us: tuple[float, float] = DEVICE_T2_US
-    jz_tilde_angle_deg: float = DEVICE_JZ_TILDE_DEG
-    crosstalk_phase_deg: float = DEVICE_CROSSTALK_DEG
-    single_qubit_fidelity: float = DEVICE_SINGLE_QUBIT_FIDELITY
-    timing: TimingParams = TimingParams()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, t1_us=DEVICE_T1_US, t2_us=DEVICE_T2_US,
+                jz_tilde_angle_deg=DEVICE_JZ_TILDE_DEG, crosstalk_phase_deg=DEVICE_CROSSTALK_DEG,
+                single_qubit_fidelity=DEVICE_SINGLE_QUBIT_FIDELITY, timing=TimingParams()):
         # tuples keep the parameters hashable, as the superoperator cache needs
-        object.__setattr__(self, "t1_us", tuple(self.t1_us))
-        object.__setattr__(self, "t2_us", tuple(self.t2_us))
+        return super().__new__(cls, tuple(t1_us), tuple(t2_us), jz_tilde_angle_deg,
+                               crosstalk_phase_deg, single_qubit_fidelity, timing)
+
+    def _check(self):
         if len(self.t1_us) != 2 or len(self.t2_us) != 2:
             raise ValueError("t1_us and t2_us must have one entry per qubit")
         for t1, t2 in zip(self.t1_us, self.t2_us):

@@ -16,10 +16,11 @@ nanoseconds enter only through ``spinsim.device``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
+from .ir import _Record
 from .linalg import ID2, SX, SY, SZ, herm_expm, kron
 
 # the four Pauli products of the formula: X1X2, Y1Y2, Z1Z2 and Z1 + Z2
@@ -27,21 +28,17 @@ _XX, _YY, _ZZ = kron(SX, SX), kron(SY, SY), kron(SZ, SZ)
 _Z_TOTAL = kron(SZ, ID2) + kron(ID2, SZ)
 
 
-@dataclass(frozen=True)
-class SpinModelSpec:
+class SpinModelSpec(namedtuple("SpinModelSpec", "jx jy jz b j_sign",
+                               defaults=(1.0, 0.0, 0.0, 0.0, -1)), _Record):
     """The two-spin model's couplings and field, in units of |J|.
 
     ``j_sign`` carries the sign of the device exchange coupling and
     multiplies jx/jy/jz; the field ``b`` is signed as given.
     """
 
-    jx: float = 1.0
-    jy: float = 0.0
-    jz: float = 0.0
-    b: float = 0.0
-    j_sign: int = -1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.j_sign not in (-1, 1):
             raise ValueError("j_sign must be +1 or -1")
 

@@ -9,7 +9,7 @@ engine live in ``circuits``.  Every circuit acts on the two-qubit register;
 
 ``XY(theta)`` is the exchange gate at quantum phase angle theta = 2|J|tau and
 ``ROT(a, phi, q)`` = exp(-i phi sigma_a / 2) on qubit q in {0, 1};
-``circuits`` pins their matrices.  A ``Gate`` is a checked ``NamedTuple``, so
+``circuits`` pins their matrices.  A ``Gate`` is a checked namedtuple, so
 the gate caches hash and compare it in C.  The compilers build one object per
 distinct gate and repeat it, within a step and across steps, as the text
 parser does for repeated lines; ``circuits.circuit_matrix`` resolves each
@@ -40,34 +40,51 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import MappingProxyType
-from typing import NamedTuple
 
 HALF_PI = math.pi / 2.0
 
 
-class _GateFields(NamedTuple):
-    kind: str
-    theta: float = 0.0        # XY: quantum phase angle 2|J|tau, >= 0
-    axis: str = ""            # ROT: "x" | "y" | "z"
-    angle: float = 0.0        # ROT: rotation angle in radians
-    qubit: int = 0            # ROT: target qubit, 0 or 1
-    duration_ns: float = 0.0  # WAIT: idle time
+class _Record(tuple):
+    """The base of the package's checked records, listed after their
+    ``namedtuple`` class: ``class R(namedtuple("R", ...), _Record)``.
 
-
-class Gate(_GateFields):
-    """One gate event: kind is "XY", "ROT" or "WAIT".
-
-    A ``NamedTuple``, so hashing and ``==`` (the gate caches' keys) run in C;
-    a gate equals the plain tuple of its fields.  Construction, ``_make``,
-    ``_replace`` and unpickling all run the checks.
+    The namedtuple's ``__new__`` keeps each constructor's signature (names,
+    order and defaults).  This class runs the record's ``_check`` after it,
+    and on every other way of building one: ``_make`` (so ``_replace``),
+    unpickling and ``copy``.  A record is a tuple: it equals the plain tuple
+    of its fields, and hashing and ``==`` run in C.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, theta: float = 0.0, axis: str = "", angle: float = 0.0,
-                qubit: int = 0, duration_ns: float = 0.0):
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the namedtuple's own _make, which _replace calls, skips __init__
+        cls._make = classmethod(lambda c, fields: c(*fields))
+
+    def __init__(self, *fields, **named):
+        self._check()
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class Gate(namedtuple("Gate", "kind theta axis angle qubit duration_ns",
+                      defaults=(0.0, "", 0.0, 0, 0.0)), _Record):
+    """One gate event: kind is "XY", "ROT" or "WAIT".
+
+    ``theta`` is the XY quantum phase angle 2|J|tau (>= 0); ``axis`` ("x",
+    "y" or "z"), ``angle`` (radians) and ``qubit`` (0 or 1) describe a ROT;
+    ``duration_ns`` is a WAIT's idle time.  A checked record, so the gate
+    caches hash and compare it in C.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
+        kind, theta, axis, angle, qubit, duration_ns = self
         if not (math.isfinite(theta) and math.isfinite(angle)
                 and math.isfinite(duration_ns)):
             raise ValueError("gate angles and durations must be finite")
@@ -85,14 +102,6 @@ class Gate(_GateFields):
                 raise ValueError("wait duration must be non-negative")
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
-        return super().__new__(cls, kind, theta, axis, angle, qubit, duration_ns)
-
-    @classmethod
-    def _make(cls, iterable) -> "Gate":
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return type(self), tuple(self)
 
     @classmethod
     def xy(cls, theta: float) -> "Gate":
@@ -102,12 +111,7 @@ class Gate(_GateFields):
     def rot(cls, axis: str, angle: float, qubit: int) -> "Gate":
         return cls("ROT", 0.0, axis, angle, qubit)
 
-    @classmethod
-    def wait(cls, duration_ns: float) -> "Gate":
-        return cls("WAIT", duration_ns=duration_ns)
 
-
-@dataclass(frozen=True)
 class Circuit:
     """A gate sequence on the two-qubit register, with a read-only header.
 
@@ -120,21 +124,22 @@ class Circuit:
     for n, so a circuit whose gates are not that many copies of one step is
     its own step, with n = 1.  A step's z rotation is the sum of its own Q2
     phase-gate angles; no header value restates it.  ``metadata`` stays the
-    read-only header that the text dump writes.  Pickling and copying
-    rebuild the circuit, checks included.
+    read-only header that the text dump writes.
+
+    A slotted, read-only class: assigning or deleting an attribute raises
+    ``AttributeError``.  Two circuits are equal when their ``n_qubits``,
+    ``gates`` and ``metadata`` are; a circuit is not hashable and not a
+    sequence.  Pickling and copying rebuild the circuit, checks included.
     """
 
-    n_qubits: int
-    gates: tuple[Gate, ...]
-    metadata: MappingProxyType = field(default_factory=dict)  # built from any mapping
-    step: tuple = field(init=False, repr=False, compare=False)
-    j_sign: int = field(init=False, repr=False, compare=False)
-    b_over_j: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("n_qubits", "gates", "metadata", "step", "j_sign", "b_over_j",
+                 "__weakref__")  # the noise memo holds a circuit by weak reference
 
-    def __post_init__(self):
-        if not (isinstance(self.n_qubits, int) and self.n_qubits == 2):
-            raise ValueError(f"circuits act on two qubits, got n_qubits={self.n_qubits!r}")
-        meta = MappingProxyType(dict(self.metadata))
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...],
+                 metadata: MappingProxyType = MappingProxyType({})):  # or any mapping
+        if not (isinstance(n_qubits, int) and n_qubits == 2):
+            raise ValueError(f"circuits act on two qubits, got n_qubits={n_qubits!r}")
+        meta = MappingProxyType(dict(metadata))
         j, n, b = meta.get("j_sign", -1), meta.get("n_steps", 1), meta.get("b_over_j", 0.0)
         big = sys.float_info.max
         if not (type(j) is int and j in (-1, 1)):
@@ -145,25 +150,40 @@ class Circuit:
             # NaN fails the comparison; an int beyond the float range fails it too
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and abs(v) <= big):
                 raise ValueError(f"{key} must be finite, got {v!r}")
-        gates, k = self.gates, len(self.gates) // n
+        k = len(gates) // n
         repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
-        for name, value in (("metadata", meta), ("j_sign", j), ("b_over_j", b),
+        for name, value in (("n_qubits", n_qubits), ("gates", gates), ("metadata", meta),
+                            ("j_sign", j), ("b_over_j", b),
                             ("step", (gates[:k], n) if repeats else (gates, 1))):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only Circuit")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only Circuit")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n_qubits, self.gates, self.metadata)
+                == (other.n_qubits, other.gates, other.metadata))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(n_qubits={self.n_qubits!r}, "
+                f"gates={self.gates!r}, metadata={self.metadata!r})")
 
     def __reduce__(self):
         return type(self), (self.n_qubits, self.gates, dict(self.metadata))
 
 
-@dataclass(frozen=True)
-class EvolutionParams:
+class EvolutionParams(namedtuple("EvolutionParams", "theta n_steps b_over_j",
+                                 defaults=(1, 0.0)), _Record):
     """Total phase angle, Trotter step count and field-to-coupling ratio."""
 
-    theta: float
-    n_steps: int = 1
-    b_over_j: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 

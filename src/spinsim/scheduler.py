@@ -18,21 +18,20 @@ the compiled Ising sequence already carries them as gates.  Like ``ir`` and
 ``schedule`` and ``validate`` each cost O(E log E) in the event count E: flux
 unit ends, buffers and event starts are kept sorted and searched with
 ``bisect``, so no check compares all pairs of events.  The fixed cost per
-event is kept small: a ``PulseEvent`` is a ``NamedTuple``, about a third of
-the cost of a frozen dataclass to build, events sort on C-level
-``attrgetter`` keys, and ``validate`` finds each xy pulse's buffers once.
+event is kept small: a ``PulseEvent`` is a plain namedtuple, built by one
+``tuple.__new__`` call with no checks, events sort on C-level ``attrgetter``
+keys, and ``validate`` finds each xy pulse's buffers once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
-from typing import NamedTuple
 
 from .device import TimingParams
-from .ir import Circuit, Gate
+from .ir import Circuit, Gate, _Record
 
 _TOL = 1e-9
 _FMT = "{:.12g}".format
@@ -41,22 +40,26 @@ _ORDER = attrgetter("start_ns", "channel", "label")  # timeline order
 _FLUX, _DRIVE = ("flux-Q1", "flux-Q2"), ("drive-Q1", "drive-Q2")  # by qubit
 
 
-class PulseEvent(NamedTuple):
-    channel: str
-    start_ns: float
-    duration_ns: float
-    label: str
-    gate_index: int = -1
+class PulseEvent(namedtuple("PulseEvent", "channel start_ns duration_ns label gate_index",
+                            defaults=(-1,))):
+    """One pulse: its channel, start and duration in ns, label and gate index."""
+
+    __slots__ = ()
 
     @property
     def end_ns(self) -> float:
         return self.start_ns + self.duration_ns
 
 
-@dataclass(frozen=True)
-class PulseTimeline:
-    events: tuple[PulseEvent, ...]
-    total_ns: float
+class PulseTimeline(namedtuple("PulseTimeline", "events total_ns"), _Record):
+    """A circuit's pulses and the time its timeline ends, in ns."""
+
+    __slots__ = ()
+
+    def _check(self):
+        # a list would leave the timeline's events open to change
+        if not isinstance(self.events, tuple):
+            raise TypeError(f"events must be a tuple, got {type(self.events).__name__}")
 
 
 def commensurate_padding(elapsed_ns: float, period_ns: float) -> float:

@@ -17,10 +17,11 @@ copied from it.  Non-finite entries are rejected, because ``NaN`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
+from .ir import _Record
 from .linalg import PAULIS_1Q, SY, check_density_matrix, kron, partial_transpose
 
 PAULI_LABELS_2Q = tuple(a + b for a in "IXYZ" for b in "IXYZ")
@@ -47,15 +48,13 @@ _INPUT_INVERSE = np.linalg.inv(
     np.column_stack([r.reshape(-1) for r in PROCESS_INPUT_STATES]))
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
+class TomographyRecord(namedtuple("TomographyRecord", "labels expectations noise_sigma",
+                                  defaults=(0.0,)), _Record):
     """Pauli expectation values of one measured state."""
 
-    labels: tuple[str, ...]
-    expectations: tuple[float, ...]
-    noise_sigma: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.labels) != len(self.expectations):
             raise ValueError("labels and expectations must have equal length")
         bound = 1.0 + 5.0 * self.noise_sigma + 1e-9

@@ -101,7 +101,7 @@ any_gate = st.one_of(
     st.builds(Gate.xy, st.floats(0.0, 4 * np.pi)),
     st.builds(Gate.rot, st.sampled_from("xyz"), st.floats(-2 * np.pi, 2 * np.pi),
               st.sampled_from((0, 1))),
-    st.builds(Gate.wait, st.floats(0.0, 200.0)))
+    st.builds(lambda ns: Gate("WAIT", duration_ns=ns), st.floats(0.0, 200.0)))
 
 
 @st.composite

@@ -1,5 +1,9 @@
+import copy
 import importlib
+import inspect
+import math
 import os
+import pickle
 import subprocess
 import sys
 import tokenize
@@ -12,6 +16,9 @@ import spinsim
 import spinsim.cli
 import spinsim.noise
 import spinsim.scheduler
+from spinsim import (EvolutionParams, NoiseParams, PulseEvent, PulseTimeline, SpinModelSpec,
+                     TimingParams, TomographyRecord)
+from spinsim.cli import ConfigError, RunConfig
 
 SRC = Path(spinsim.__file__).resolve().parents[1]
 
@@ -47,26 +54,30 @@ def test_every_export_is_used_outside_its_definition():
     """A public name that no module and no acceptance test uses is test-only API.
 
     So is a public method, classmethod or property of an exported class that
-    none of them uses.  A use is a NAME token in src/spinsim (the export table
-    in ``__init__`` aside) or in tests/test_acceptance.py that is not the name
-    of a def or class.
+    none of them uses.  A use of a name is a NAME token in src/spinsim (the
+    export table in ``__init__`` aside) or in tests/test_acceptance.py that
+    is not the name of a def or class.  A use of a member is such a token
+    read as an attribute, ``X.member``, so a local variable of the same name
+    does not count.
     """
     files = [p for p in (SRC / "spinsim").glob("*.py") if p.name != "__init__.py"]
     files.append(Path(__file__).with_name("test_acceptance.py"))
-    used = set()
+    used, attributes = set(), set()
     for path in files:
         with tokenize.open(path) as f:
             prev = ""
             for tok in tokenize.generate_tokens(f.readline):
                 if tok.type == tokenize.NAME and prev not in ("def", "class"):
                     used.add(tok.string)
+                    if prev == ".":
+                        attributes.add(tok.string)
                 prev = tok.string
     assert sorted(set(spinsim.__all__) - used) == []
     members = {f"{name}.{member}" for name in spinsim.__all__
                if isinstance(getattr(spinsim, name), type)
                for member in public_members(getattr(spinsim, name))}
     assert members  # the classes do have public members
-    assert sorted(m for m in members if m.split(".")[1] not in used) == []
+    assert sorted(m for m in members if m.split(".")[1] not in attributes) == []
 
 
 def test_only_ir_reads_the_circuit_header():
@@ -79,6 +90,105 @@ def test_only_ir_reads_the_circuit_header():
                    for tok in tokenize.generate_tokens(f.readline)):
                 readers.append(path.name)
     assert readers == ["ir.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """The records are checked namedtuples: importing ``dataclasses`` would
+    load ``inspect`` and a dozen more modules at every command's start.  A
+    use is a NAME token ``dataclasses`` in a src/spinsim module."""
+    users = []
+    for path in sorted((SRC / "spinsim").glob("*.py")):
+        with tokenize.open(path) as f:
+            if any(tok.type == tokenize.NAME and tok.string == "dataclasses"
+                   for tok in tokenize.generate_tokens(f.readline)):
+                users.append(path.name)
+    assert users == []
+
+
+def test_schedule_starts_without_dataclasses_inspect_or_numpy(tmp_path):
+    proc = run_fresh(
+        "import sys\n"
+        "from spinsim.cli import main\n"
+        "assert main(['schedule', '--protocol', 'ising', '--n-steps', '3',\n"
+        "             '--thetas', '1.1']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))\n",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+EMPTY = inspect.Parameter.empty
+_EVENT = PulseEvent("drive-Q1", 0.0, 24.0, "rot_x", 0)
+
+# each checked record: its constructor's parameters as (name, default) in
+# order, one valid record, a change of fields that its checks refuse, and
+# the error they raise
+RECORDS = [
+    pytest.param(EvolutionParams, [("theta", EMPTY), ("n_steps", 1), ("b_over_j", 0.0)],
+                 EvolutionParams(1.0, 3, 2.0), {"n_steps": 0}, ValueError,
+                 id="EvolutionParams"),
+    pytest.param(TimingParams, [("single_qubit_ns", 24.0), ("buffer_ns", 16.0),
+                                ("post_flux_wait_ns", 40.0), ("detuning_mhz", 200.0),
+                                ("theta_to_ns", 1e3 / (4.0 * math.pi * 40.4))],
+                 TimingParams(), {"buffer_ns": -1.0}, ValueError, id="TimingParams"),
+    pytest.param(NoiseParams, [("t1_us", (7.1, 6.7)), ("t2_us", (5.4, 4.9)),
+                               ("jz_tilde_angle_deg", -2.3), ("crosstalk_phase_deg", -4.6),
+                               ("single_qubit_fidelity", 0.997), ("timing", TimingParams())],
+                 NoiseParams(), {"single_qubit_fidelity": 0.4}, ValueError,
+                 id="NoiseParams"),
+    pytest.param(PulseTimeline, [("events", EMPTY), ("total_ns", EMPTY)],
+                 PulseTimeline((_EVENT,), 24.0), {"events": [_EVENT]}, TypeError,
+                 id="PulseTimeline"),
+    pytest.param(RunConfig, [("protocol", "xy"),
+                             ("theta_grid", tuple(k * math.pi / 16.0 for k in range(33))),
+                             ("n_steps", 1), ("n_list", (1, 2, 3, 4, 5)), ("b_over_j", 3.0),
+                             ("initial_state", None), ("noise", NoiseParams()),
+                             ("j_sign", -1)],
+                 RunConfig(protocol="ising", theta_grid=(0.5, 1.0), n_steps=2),
+                 {"protocol": "swap"}, ConfigError, id="RunConfig"),
+    pytest.param(SpinModelSpec, [("jx", 1.0), ("jy", 0.0), ("jz", 0.0), ("b", 0.0),
+                                 ("j_sign", -1)],
+                 SpinModelSpec.ising(1.0, 2.0), {"j_sign": 0}, ValueError,
+                 id="SpinModelSpec"),
+    pytest.param(TomographyRecord, [("labels", EMPTY), ("expectations", EMPTY),
+                                    ("noise_sigma", 0.0)],
+                 TomographyRecord(("XX", "ZZ"), (0.5, -1.0)), {"expectations": (0.5, 2.0)},
+                 ValueError, id="TomographyRecord"),
+]
+
+
+@pytest.mark.parametrize("cls, params, valid, change, error", RECORDS)
+def test_record_signature(cls, params, valid, change, error):
+    # hypothesis's st.builds reads this signature to choose what to draw
+    sig = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default) for p in sig] == params
+    assert [type(p.default) for p in sig] == [type(d) for _, d in params]
+    assert {p.kind for p in sig} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+@pytest.mark.parametrize("cls, params, valid, change, error", RECORDS)
+def test_every_way_of_building_a_record_checks(cls, params, valid, change, error):
+    fields = {**valid._asdict(), **change}
+    unchecked = tuple.__new__(cls, fields.values())  # skips the checks
+    builds = [lambda: cls(*fields.values()), lambda: cls(**fields),
+              lambda: cls._make(fields.values()), lambda: valid._replace(**change),
+              lambda: copy.deepcopy(unchecked), lambda: copy.copy(unchecked)]
+    builds += [lambda p=p: pickle.loads(pickle.dumps(unchecked, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for build in builds:
+        with pytest.raises(error):
+            build()
+    for same in (valid._replace(), cls._make(valid), copy.deepcopy(valid),
+                 pickle.loads(pickle.dumps(valid))):
+        assert same == valid and type(same) is cls
+    # a record is a tuple: it equals the plain tuple of its fields, and it is
+    # read-only
+    assert valid == tuple(valid)
+    for name in valid._fields:
+        with pytest.raises(AttributeError):
+            setattr(valid, name, None)
+    with pytest.raises(AttributeError):
+        valid.extra = 1
 
 
 def test_star_import():

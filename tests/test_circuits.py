@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestGateUnitary:
                 assert np.max(np.abs(z @ plus @ z - minus)) < 1e-12
 
     def test_wait_is_identity(self):
-        assert np.array_equal(gate_unitary(Gate.wait(100.0)), np.eye(4))
+        assert np.array_equal(gate_unitary(Gate("WAIT", duration_ns=100.0)), np.eye(4))
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -79,8 +80,8 @@ BAD_GATES = [
     pytest.param(Gate.rot("x", 1.0, 1), {"qubit": 2}, id="rot-qubit-2"),
     pytest.param(Gate.rot("x", 1.0, 1), {"qubit": -1}, id="rot-qubit-negative"),
     pytest.param(Gate.rot("x", 1.0, 1), {"angle": float("nan")}, id="rot-nan-angle"),
-    pytest.param(Gate.wait(5.0), {"duration_ns": -1.0}, id="wait-negative"),
-    pytest.param(Gate.wait(5.0), {"duration_ns": float("inf")}, id="wait-inf"),
+    pytest.param(Gate("WAIT", duration_ns=5.0), {"duration_ns": -1.0}, id="wait-negative"),
+    pytest.param(Gate("WAIT", duration_ns=5.0), {"duration_ns": float("inf")}, id="wait-inf"),
     pytest.param(Gate.xy(1.0), {"kind": "SWAP"}, id="unknown-kind"),
 ]
 
@@ -93,8 +94,7 @@ class TestGateContract:
         g = Gate.rot("y", 0.5, 1)
         assert g == Gate("ROT", 0.0, "y", 0.5, 1, 0.0) == Gate(
             kind="ROT", axis="y", angle=0.5, qubit=1)
-        assert Gate.xy(2.0) == Gate("XY", 2.0) and Gate.wait(3.0) == Gate("WAIT",
-                                                                          duration_ns=3.0)
+        assert Gate.xy(2.0) == Gate("XY", 2.0)
         assert (g.kind, g.theta, g.axis, g.angle, g.qubit, g.duration_ns) == tuple(g)
         assert repr(g) == ("Gate(kind='ROT', theta=0.0, axis='y', angle=0.5, qubit=1, "
                            "duration_ns=0.0)")
@@ -205,6 +205,28 @@ def test_typed_header_fields():
     assert (c.j_sign, c.b_over_j) == (1, -2.0)
     bare = Circuit(2, (Gate.xy(1.0),))
     assert (bare.j_sign, bare.b_over_j) == (-1, 0.0)
+
+
+def test_circuit_is_a_read_only_object_not_a_tuple():
+    c = Circuit(2, (Gate.xy(1.0),), {"j_sign": 1})
+    assert Circuit(n_qubits=2, gates=c.gates, metadata={"j_sign": 1}) == c
+    assert Circuit(2, c.gates).metadata == {}
+    assert weakref.ref(c)() is c  # the noise memo holds a circuit weakly
+    with pytest.raises(TypeError):
+        hash(c)
+    for name in ("n_qubits", "gates", "metadata", "step", "j_sign", "b_over_j", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c != (2, c.gates, c.metadata) and c != Circuit(2, c.gates)
+    with pytest.raises(TypeError):
+        len(c)
+    with pytest.raises(TypeError):
+        iter(c)
+    assert repr(c) == ("Circuit(n_qubits=2, gates=(Gate(kind='XY', theta=1.0, axis='', "
+                       "angle=0.0, qubit=0, duration_ns=0.0),), "
+                       "metadata=mappingproxy({'j_sign': 1}))")
 
 
 def test_circuit_header_is_a_read_only_copy():
@@ -516,8 +538,9 @@ ROUND_TRIP_CIRCUITS = [compiled_circuit(*args) for args in (
     ("xy", 1.234, 1, 0.0, -1), ("heisenberg", 0.1 + 0.2, 1, 0.0, 1),
     ("ising", 1.234, 2, 3.0, -1), ("ising", np.pi / 2, 200, -2.5, 1),
     ("ising", 2.2, 57, 1e-3, -1))] + [
-    Circuit(2, (Gate.wait(12.5), Gate.rot("z", -0.0, 1), Gate.xy(0.1 + 0.2),
-                Gate.rot("z", -0.0, 1), Gate.wait(0.0), Gate.rot("x", -5e-324, 0)),
+    Circuit(2, (Gate("WAIT", duration_ns=12.5), Gate.rot("z", -0.0, 1), Gate.xy(0.1 + 0.2),
+                Gate.rot("z", -0.0, 1), Gate("WAIT", duration_ns=0.0),
+                Gate.rot("x", -5e-324, 0)),
             {"protocol": "hand", "b_over_j": -0.0})]
 
 
@@ -568,7 +591,7 @@ class TestSerialization:
         assert len(xys) == 3 and all(g is xys[0] for g in xys)
 
     def test_gate_line_format(self):
-        c = Circuit(2, (Gate.xy(1.5), Gate.rot("y", -0.25, 1), Gate.wait(40.0)))
+        c = Circuit(2, (Gate.xy(1.5), Gate.rot("y", -0.25, 1), Gate("WAIT", duration_ns=40.0)))
         text = circuit_to_text(c)
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert lines == ["XY theta=1.5", "ROT axis=y angle=-0.25 q=1", "WAIT ns=40.0"]

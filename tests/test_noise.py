@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -235,7 +234,7 @@ class TestGateDurations:
 
     def test_wait_duration(self):
         p = NoiseParams()
-        assert gate_duration_ns(Gate.wait(55.5), p, 0.0) == 55.5
+        assert gate_duration_ns(Gate("WAIT", duration_ns=55.5), p, 0.0) == 55.5
 
     def test_durations_follow_timing(self):
         p = NoiseParams(timing=TimingParams(single_qubit_ns=30.0, buffer_ns=10.0,
@@ -293,7 +292,7 @@ class TestSimulateNoisy:
         p = NoiseParams(t1_us=(1e6, 1e6), t2_us=(1e-3, 1e-3),
                         jz_tilde_angle_deg=0.0, crosstalk_phase_deg=0.0,
                         single_qubit_fidelity=1.0)
-        c = Circuit(2, (Gate.wait(1000.0),))
+        c = Circuit(2, (Gate("WAIT", duration_ns=1000.0),))
         rho = simulate_noisy(c, p, rho0)
         # Uhlmann fidelity to I/4 reduces to (sum sqrt(w/4))^2
         w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
@@ -471,7 +470,8 @@ angles = st.just(0.0) | st.floats(min_value=0.0, max_value=4 * np.pi)
 single_gates = (st.builds(Gate.xy, angles)
                 | st.builds(Gate.rot, st.sampled_from("xyz"),
                             angles | angles.map(lambda a: -a), st.sampled_from((0, 1)))
-                | st.builds(Gate.wait, st.floats(min_value=0.0, max_value=1e4)))
+                | st.builds(lambda ns: Gate("WAIT", duration_ns=ns),
+                            st.floats(min_value=0.0, max_value=1e4)))
 
 
 @settings(deadline=None, max_examples=300)
@@ -576,7 +576,7 @@ def test_memo_of_last_circuit_matches_fresh_call(sequence, seed):
     # after the sequence, so that these calls leave its memo hits as they were;
     # a new circuit and a distinct NoiseParams cannot hit the memo
     for circuit, p, rho0, rho in results:
-        fresh = simulate_noisy(circuit, dataclasses.replace(p), rho0)
+        fresh = simulate_noisy(circuit, p._replace(), rho0)
         assert rho.tobytes() == fresh.tobytes()
 
 

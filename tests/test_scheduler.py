@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinsim.circuits import Circuit, EvolutionParams, Gate, circuit_from_text, \
     circuit_to_text, compile_heisenberg, compile_ising
+from spinsim.device import THETA_TO_NS
 from spinsim.noise import NoiseParams, gate_duration_ns
 from spinsim.scheduler import (PulseEvent, PulseTimeline, TimingParams,
                                commensurate_padding, schedule, timeline_to_csv,
@@ -181,6 +182,13 @@ durations = st.floats(min_value=0.0, max_value=100.0)
 timings = st.builds(TimingParams, single_qubit_ns=durations, buffer_ns=durations,
                     post_flux_wait_ns=durations,
                     detuning_mhz=st.floats(min_value=0.1, max_value=1000.0))
+
+
+@given(timings)
+def test_timings_strategy_keeps_the_default_theta_to_ns(timing):
+    # st.builds draws only the fields it names; with a typed NamedTuple base,
+    # hypothesis would draw theta_to_ns from its annotation as well
+    assert timing.theta_to_ns == THETA_TO_NS
 
 
 @settings(deadline=None)
@@ -395,7 +403,8 @@ angles = st.one_of(st.sampled_from(NEAR), st.floats(min_value=-2 * np.pi,
 gates = st.one_of(
     st.builds(Gate.rot, st.sampled_from("xyz"), angles, st.integers(0, 1)),
     st.builds(Gate.xy, st.floats(min_value=0.0, max_value=4 * np.pi)),
-    st.builds(Gate.wait, st.one_of(st.sampled_from((1e-10, 5e-10)), durations)))
+    st.builds(lambda ns: Gate("WAIT", duration_ns=ns),
+              st.one_of(st.sampled_from((1e-10, 5e-10)), durations)))
 hand_built_circuits = st.builds(
     lambda gs, b: Circuit(2, tuple(gs), {} if b is None else {"b_over_j": b}),
     st.lists(gates, max_size=40),
