@@ -25,6 +25,11 @@ arrays.  So a failure of the exact evolution shows after the grid's circuits
 have run, and names its theta.  ``tomography`` analyses each circuit as it
 runs.
 
+``load_config`` reads each JSON object of a config (the top level, ``noise``
+and ``noise.gate_durations``) through its table of conversions in one
+reader, ``_fields``, so every config error names its key path.  Each flag's
+dest is its config key.
+
 Configs, circuits and schedules are plain Python.  ``simulate``,
 ``trotter-scan`` and ``tomography`` import numpy and the numeric modules on
 first use and bind their names as module globals, so ``schedule`` and
@@ -186,41 +191,6 @@ def _amplitude(a) -> complex:
         raise ValueError(str(exc)) from exc
 
 
-# config name of each gate duration -> TimingParams field
-_GATE_DURATION_FIELDS = {"single_qubit_ns": "single_qubit_ns",
-                         "xy_buffer_ns": "buffer_ns",
-                         "post_flux_wait_ns": "post_flux_wait_ns"}
-_NOISE_FLOATS = ("jz_tilde_angle_deg", "crosstalk_phase_deg", "single_qubit_fidelity")
-
-
-def _noise_from_dict(obj) -> NoiseParams | None:
-    if obj == "off":
-        return None
-    if obj is None:
-        return NoiseParams()
-    if not isinstance(obj, dict):
-        raise ConfigError("noise must be 'off' or an object")
-    unknown = set(obj) - {"t1_us", "t2_us", *_NOISE_FLOATS, "theta_to_ns",
-                          "gate_durations"}
-    if unknown:
-        raise ConfigError(f"unknown noise fields: {sorted(unknown)}")
-    durations = obj.get("gate_durations", {})
-    if not isinstance(durations, dict):
-        raise ConfigError("noise.gate_durations must be an object")
-    unknown = set(durations) - set(_GATE_DURATION_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown gate_durations keys: {sorted(unknown)}")
-    try:
-        timing = {_GATE_DURATION_FIELDS[k]: _real(v) for k, v in durations.items()}
-        if "theta_to_ns" in obj:
-            timing["theta_to_ns"] = _real(obj["theta_to_ns"])
-        kwargs = {k: _array(obj[k], _real) for k in ("t1_us", "t2_us") if k in obj}
-        kwargs.update({k: _real(obj[k]) for k in _NOISE_FLOATS if k in obj})
-        return NoiseParams(timing=TimingParams(**timing), **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise config: {exc}") from exc
-
-
 def _integral(v) -> int:
     """An integer given as 3, 3.0 or "3"; int() alone would truncate 2.7."""
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -245,44 +215,85 @@ def _array(v, convert) -> tuple:
     return tuple(convert(x) for x in v)
 
 
-# config key -> conversion of its JSON value; initial_state and noise are
-# parsed by RunConfig.psi0 and _noise_from_dict
-_CONVERSIONS = {
-    "protocol": str,
-    "theta_grid": lambda v: _array(v, _real),
-    "n_steps": _integral,
-    "n_list": lambda v: _array(v, _integral),
-    "b_over_j": _real,
-    "j_sign": _integral,
-}
-_CONFIG_KEYS = {*_CONVERSIONS, "initial_state", "noise"}
+def _reals(v) -> tuple:
+    return _array(v, _real)
+
+
+def _initial_state(v):
+    """``initial_state`` with its arrays as tuples; ``RunConfig`` checks it."""
+    if not isinstance(v, list):
+        return v  # a preset name, or null for the protocol's default
+    return tuple(tuple(a) if isinstance(a, list) else a for a in v)
+
+
+def _fields(obj, table: dict, path: str = "") -> dict:
+    """The keys of JSON object ``obj``, each converted by its entry in ``table``.
+
+    ``path`` is the object's key path in the config, "" at the top.  A value
+    that is not an object, an unknown key and a value that its conversion
+    rejects each raise a one-line ``ConfigError`` that names the key path.  A
+    nested object's reader names its own keys, so its ``ConfigError`` passes
+    through unwrapped.
+    """
+    prefix = f"{path}." if path else ""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config file'} must hold a JSON object")
+    unknown = sorted(prefix + key for key in set(obj) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    out = {}
+    for key, convert in table.items():
+        if key in obj:
+            try:
+                out[key] = convert(obj[key])
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {prefix}{key}: {exc}") from exc
+    return out
+
+
+def _timing(v) -> TimingParams:
+    """``noise.gate_durations``; its ``xy_buffer_ns`` is ``TimingParams.buffer_ns``."""
+    ns = _fields(v, _GATE_DURATIONS, "noise.gate_durations")
+    return TimingParams(**{"buffer_ns" if key == "xy_buffer_ns" else key: t
+                           for key, t in ns.items()})
+
+
+def _noise(v) -> NoiseParams | None:
+    """The noise block: "off", null for the defaults, or an object."""
+    if v == "off":
+        return None
+    if not isinstance(v, (dict, type(None))):
+        raise ConfigError("noise must be 'off' or an object")
+    kwargs = _fields(v or {}, _NOISE, "noise")
+    timing = kwargs.pop("gate_durations", TimingParams())
+    if "theta_to_ns" in kwargs:
+        timing = timing._replace(theta_to_ns=kwargs.pop("theta_to_ns"))
+    return NoiseParams(timing=timing, **kwargs)
+
+
+# config key -> conversion of its JSON value, at each level of the config
+_GATE_DURATIONS = dict.fromkeys(("single_qubit_ns", "xy_buffer_ns", "post_flux_wait_ns"), _real)
+_NOISE = {"gate_durations": _timing, "theta_to_ns": _real, "t1_us": _reals, "t2_us": _reals,
+          **dict.fromkeys(("jz_tilde_angle_deg", "crosstalk_phase_deg",
+                           "single_qubit_fidelity"), _real)}
+_CONFIG = {"protocol": str, "theta_grid": _reals, "n_steps": _integral,
+           "n_list": lambda v: _array(v, _integral), "b_over_j": _real, "j_sign": _integral,
+           "initial_state": _initial_state, "noise": _noise}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """The run config of a JSON file (None for none) with ``overrides`` on top."""
     data: dict = {}
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs: dict = {}
-    for key, convert in _CONVERSIONS.items():
-        if key in data:
-            try:
-                kwargs[key] = convert(data[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {key}: {exc}") from exc
-    if "initial_state" in data:
-        kwargs["initial_state"] = data["initial_state"]
-    if "noise" in data:
-        kwargs["noise"] = _noise_from_dict(data["noise"])
-    return RunConfig(**kwargs)
+    if isinstance(data, dict):
+        data.update(overrides)
+    return RunConfig(**_fields(data, _CONFIG))
 
 
 def build_circuit(cfg: RunConfig, theta: float) -> Circuit:
@@ -457,32 +468,31 @@ def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
     return EXIT_OK
 
 
+def _split(text: str) -> list[str]:
+    return text.split(",")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # each config flag's dest is its config key; _overrides reads them by name
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--no-noise", action="store_true", help="disable the noise model")
+    p.add_argument("--no-noise", action="store_const", const="off", dest="noise",
+                   help="disable the noise model")
     p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--thetas", help="comma-separated phase angles (radians)")
-    p.add_argument("--n-steps", type=int, dest="n_steps")
-    p.add_argument("--b-over-j", type=float, dest="b_over_j")
-    p.add_argument("--initial-state", dest="initial_state",
-                   help="preset name (fig2, fig3, up-up, bell)")
-    p.add_argument("--j-sign", type=int, dest="j_sign", choices=(-1, 1))
+    p.add_argument("--thetas", type=_split, dest="theta_grid", metavar="THETAS",
+                   help="comma-separated phase angles (radians)")
+    p.add_argument("--n-steps", type=int)
+    p.add_argument("--b-over-j", type=float)
+    p.add_argument("--initial-state", help="preset name (fig2, fig3, up-up, bell)")
+    p.add_argument("--j-sign", type=int, choices=(-1, 1))
 
 
 def _overrides(args) -> dict:
-    # load_config drops the flags left unset (None)
-    ov = {key: getattr(args, key, None)
-          for key in ("protocol", "n_steps", "b_over_j", "initial_state", "j_sign")}
-    # comma-separated lists are converted, and rejected (an empty one too),
-    # by load_config
-    for key, flag in (("theta_grid", "thetas"), ("n_list", "n_list")):
-        if getattr(args, flag, None) is not None:
-            ov[key] = getattr(args, flag).split(",")
-    # schedule has no noise model: it reads its timings from the noise block
-    if args.no_noise and args.command != "schedule":
-        ov["noise"] = "off"
-    return ov
+    """The config keys set by flags.  ``schedule`` has no noise model: it
+    reads its timings from the noise block, so it ignores ``--no-noise``."""
+    return {key: v for key, v in vars(args).items()
+            if key in _CONFIG and v is not None
+            and not (key == "noise" and args.command == "schedule")}
 
 
 def main(argv=None) -> int:
@@ -497,8 +507,7 @@ def main(argv=None) -> int:
 
     p_scan = sub.add_parser("trotter-scan", help="Trotter fidelity scan CSV")
     _add_common(p_scan)
-    p_scan.add_argument("--n-list", dest="n_list",
-                        help="comma-separated Trotter step counts")
+    p_scan.add_argument("--n-list", type=_split, help="comma-separated Trotter step counts")
 
     p_tomo = sub.add_parser("tomography", help="process tomography chi + report")
     _add_common(p_tomo)
@@ -507,7 +516,7 @@ def main(argv=None) -> int:
     _add_common(p_sched)
     p_sched.add_argument("--dump-circuit", action="store_true")
     p_sched.add_argument("--dump-timeline", action="store_true")
-    p_sched.add_argument("--circuit-in", dest="circuit_in",
+    p_sched.add_argument("--circuit-in",
                          help="schedule a dumped circuit file instead of compiling")
 
     args = parser.parse_args(argv)

@@ -124,7 +124,8 @@ class Circuit:
     for n, so a circuit whose gates are not that many copies of one step is
     its own step, with n = 1.  A step's z rotation is the sum of its own Q2
     phase-gate angles; no header value restates it.  ``metadata`` stays the
-    read-only header that the text dump writes.
+    read-only header that the text dump writes.  ``gates`` is a tuple: the
+    circuit keeps a tuple it is given and copies any other sequence.
 
     A slotted, read-only class: assigning or deleting an attribute raises
     ``AttributeError``.  Two circuits are equal when their ``n_qubits``,
@@ -139,6 +140,7 @@ class Circuit:
                  metadata: MappingProxyType = MappingProxyType({})):  # or any mapping
         if not (isinstance(n_qubits, int) and n_qubits == 2):
             raise ValueError(f"circuits act on two qubits, got n_qubits={n_qubits!r}")
+        gates = tuple(gates)
         meta = MappingProxyType(dict(metadata))
         j, n, b = meta.get("j_sign", -1), meta.get("n_steps", 1), meta.get("b_over_j", 0.0)
         big = sys.float_info.max

@@ -18,6 +18,7 @@ from spinsim.device import TimingParams
 from spinsim.hamiltonians import (SpinModelSpec, build_hamiltonian, build_heisenberg,
                                   build_ising, exact_evolve, oracle_hamiltonian)
 from spinsim.linalg import SX, SZ, herm_expm, kron, op_on_qubit
+from spinsim.noise import NoiseParams, simulate_noisy
 from spinsim.scheduler import schedule, timeline_to_csv
 
 from conftest import (FIG2, FIG3, ISWAP, SQRT_ISWAP, SWAP, compiled_circuit,
@@ -236,6 +237,24 @@ def test_circuit_header_is_a_read_only_copy():
         c.metadata["j_sign"] = 1
     meta["j_sign"] = 1  # the caller's dict is not the header
     assert c.metadata["j_sign"] == -1
+
+
+def test_circuit_keeps_its_own_copy_of_the_gates():
+    """A list of gates is copied into a tuple, so a change to the caller's
+    list reaches neither the circuit nor its noisy or ideal runs; a tuple is
+    kept as it is."""
+    gates = [Gate.xy(1.0), Gate.rot("x", math.pi, 0)]
+    c = Circuit(2, gates)
+    assert type(c.gates) is tuple and c.gates == tuple(gates)
+    assert c == Circuit(2, tuple(gates))
+    rho0 = np.outer(FIG2, FIG2.conj())
+    noisy, ideal = simulate_noisy(c, NoiseParams(), rho0), circuit_unitary(c)
+    gates.append(Gate.rot("y", 1.0, 1))
+    assert len(c.gates) == 2 and c.step == (c.gates, 1)
+    assert np.array_equal(circuit_unitary(c), ideal)
+    assert np.array_equal(simulate_noisy(Circuit(2, c.gates), NoiseParams(), rho0), noisy)
+    longer = tuple(gates)
+    assert Circuit(2, longer).gates is longer
 
 
 class TestCircuitUnitary:

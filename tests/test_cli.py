@@ -539,6 +539,67 @@ def test_input_errors_exit_2(tmp_path, monkeypatch, command, config, flags):
                  *flags]) == 2
 
 
+@pytest.mark.parametrize("config, path", [
+    pytest.param({"foo": 1}, "foo", id="top-key"),
+    pytest.param({"n_steps": "abc"}, "n_steps", id="top-value"),
+    pytest.param({"noise": {"t3_us": [1, 2]}}, "noise.t3_us", id="noise-key"),
+    pytest.param({"noise": {"t1_us": "78"}}, "noise.t1_us", id="noise-value"),
+    pytest.param({"noise": {"gate_durations": {"buffer_ns": 10}}},
+                 "noise.gate_durations.buffer_ns", id="gate-durations-key"),
+    pytest.param({"noise": {"gate_durations": {"single_qubit_ns": "x"}}},
+                 "noise.gate_durations.single_qubit_ns", id="gate-durations-value"),
+])
+def test_config_error_names_its_key_path(tmp_path, capsys, config, path):
+    """One short line that names the key path, at each level of the config,
+    with the "bad" prefix of a nested value said once."""
+    cfg = write_config(tmp_path, **config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert f" {path}: " in err or err.endswith(f" {path}\n")
+    assert err.count("bad ") <= 1
+
+
+def test_every_flag_sets_its_own_config_field(tmp_path, monkeypatch):
+    """Each flag's dest is its config key: it sets that RunConfig field and
+    no other.  schedule ignores --no-noise."""
+    seen = []
+    for name in ("cmd_trotter_scan", "cmd_schedule"):
+        monkeypatch.setattr(spinsim.cli, name, lambda cfg, *args: seen.append(cfg) or 0)
+    default = RunConfig()
+    for flags, field, value in [
+            (["--protocol", "heisenberg"], "protocol", "heisenberg"),
+            (["--thetas", "0.5,1.5"], "theta_grid", (0.5, 1.5)),
+            (["--n-steps", "4"], "n_steps", 4),
+            (["--b-over-j", "-2.5"], "b_over_j", -2.5),
+            (["--initial-state", "bell"], "initial_state", "bell"),
+            (["--j-sign", "1"], "j_sign", 1),
+            (["--no-noise"], "noise", None),
+            (["--n-list", "2,7"], "n_list", (2, 7))]:
+        assert main(["trotter-scan", *flags, "--out", str(tmp_path)]) == 0
+        cfg = seen.pop()
+        assert getattr(cfg, field) == value
+        assert cfg == default._replace(**{field: value}), flags
+    assert main(["schedule", "--no-noise", "--out", str(tmp_path)]) == 0
+    assert seen.pop() == default
+
+
+def test_loaded_config_is_hashable_tuples(tmp_path):
+    """Every JSON array of a loaded config is a tuple, the amplitude pairs
+    too, and psi0 is numpy's normalisation of the same amplitudes."""
+    s = 1.0 / math.sqrt(2.0)
+    state = [[s, 0.0], [0.0, -s], 0, [0, 1e-7]]
+    cfg = load_config(write_config(tmp_path, theta_grid=[0.5, 1], n_list=[2, 3],
+                                   initial_state=state, noise={"t1_us": [7, 7]}), {})
+    assert cfg.initial_state == ((s, 0.0), (0.0, -s), 0, (0, 1e-7))
+    assert all(type(a) is tuple for a in (cfg.initial_state[0], cfg.initial_state[3]))
+    assert (cfg.theta_grid, cfg.n_list, cfg.noise.t1_us) == ((0.5, 1.0), (2, 3), (7.0, 7.0))
+    assert hash(cfg) == hash(load_config(str(tmp_path / "config.json"), {}))
+    psi = np.array([complex(*a) if isinstance(a, list) else a for a in state], dtype=complex)
+    assert cfg.psi0().tobytes() == (psi / np.linalg.norm(psi)).tobytes()
+    assert cfg.psi0().tobytes() == RunConfig(initial_state=state).psi0().tobytes()
+
+
 def test_unknown_gate_kind_names_the_line(tmp_path, capsys):
     path = tmp_path / "unknown-kind.txt"
     path.write_text(BAD_CIRCUITS["unknown-kind.txt"])
@@ -938,9 +999,7 @@ def test_numeric_commands_succeed_or_reject_the_config(tmp_path_factory, command
     exits 2 with a one-line message.
 
     ``schedule`` is left out. It fails validation (exit 4) at θ = 0, which
-    ``perfbench/test_smoke.py`` pins and strict xfails cover, and at large θ,
-    where the absolute timing tolerance ``scheduler._TOL`` falls below one
-    ulp of the pulse times; mending that needs a decision about ``_TOL``.
+    ``perfbench/test_smoke.py`` pins and strict xfails cover.
     """
     out = tmp_path_factory.mktemp("run")
     cfg = out / "config.json"
