@@ -284,7 +284,8 @@ _CONFIG = {"protocol": str, "theta_grid": _reals, "n_steps": _integral,
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """The run config of a JSON file (None for none) with ``overrides`` on top."""
+    """The run config of a JSON file (None for none) with the ``overrides``
+    that are not None on top."""
     data: dict = {}
     if path is not None:
         try:
@@ -292,7 +293,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(data, dict):
-        data.update(overrides)
+        data.update((key, v) for key, v in overrides.items() if v is not None)
     return RunConfig(**_fields(data, _CONFIG))
 
 
@@ -488,11 +489,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args) -> dict:
-    """The config keys set by flags.  ``schedule`` has no noise model: it
-    reads its timings from the noise block, so it ignores ``--no-noise``."""
+    """The config flags, None where unset.  ``schedule`` has no noise model:
+    it reads its timings from the noise block, so it ignores ``--no-noise``."""
     return {key: v for key, v in vars(args).items()
-            if key in _CONFIG and v is not None
-            and not (key == "noise" and args.command == "schedule")}
+            if key in _CONFIG and not (key == "noise" and args.command == "schedule")}
 
 
 def main(argv=None) -> int:
