@@ -578,7 +578,6 @@ def test_every_flag_sets_its_own_config_field(tmp_path, monkeypatch):
             (["--n-list", "2,7"], "n_list", (2, 7))]:
         assert main(["trotter-scan", *flags, "--out", str(tmp_path)]) == 0
         cfg = seen.pop()
-        assert getattr(cfg, field) == value
         assert cfg == default._replace(**{field: value}), flags
     assert main(["schedule", "--no-noise", "--out", str(tmp_path)]) == 0
     assert seen.pop() == default
@@ -592,7 +591,6 @@ def test_loaded_config_is_hashable_tuples(tmp_path):
     cfg = load_config(write_config(tmp_path, theta_grid=[0.5, 1], n_list=[2, 3],
                                    initial_state=state, noise={"t1_us": [7, 7]}), {})
     assert cfg.initial_state == ((s, 0.0), (0.0, -s), 0, (0, 1e-7))
-    assert all(type(a) is tuple for a in (cfg.initial_state[0], cfg.initial_state[3]))
     assert (cfg.theta_grid, cfg.n_list, cfg.noise.t1_us) == ((0.5, 1.0), (2, 3), (7.0, 7.0))
     assert hash(cfg) == hash(load_config(str(tmp_path / "config.json"), {}))
     psi = np.array([complex(*a) if isinstance(a, list) else a for a in state], dtype=complex)
