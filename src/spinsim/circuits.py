@@ -17,19 +17,21 @@ Conventions, pinned by the tests:
 * Identities that hold only up to a global phase are compared with
   ``phase_distance``.
 
-Propagation cost: ``circuit_matrix`` is the one engine for both the ideal 4x4
-unitaries (``circuit_unitary``) and the noisy 16x16 superoperators
-(``noise.simulate_noisy``).  It turns a circuit into one matrix, the ordered
-product of its gates' matrices, which the caller applies to the state.  When
-``Circuit.step`` holds a circuit whose gates are exactly ``n_steps`` copies
-of one step, as ``compile_ising`` builds them, only one step is
-multiplied out and the product is raised to the power n by repeated squaring,
-so a circuit costs one step plus O(log n) matrix products.  The compilers
-repeat one object per distinct gate, and ``circuit_matrix`` calls
-``matrix_of`` once per distinct gate object of the step.  ``gate_unitary``
-is cached and returns read-only arrays.  Given many circuits,
-``circuit_unitary`` multiplies out each group of equal (step length, n) as
-stacks, with the same matmuls and so the same bits as one circuit at a time.
+Propagation cost: one product loop, ``_power_product``, composes both the
+ideal 4x4 unitaries (``circuit_unitary``) and the noisy 16x16
+superoperators (``circuit_matrix``, for ``noise.simulate_noisy``).  It turns
+a circuit into one matrix, the ordered product of its gates' matrices, which
+the caller applies to the state.  When ``Circuit.step`` holds a circuit
+whose gates are exactly ``n_steps`` copies of one step, as ``compile_ising``
+builds them, only one step is multiplied out and the product is raised to
+the power n by repeated squaring, so a circuit costs one step plus O(log n)
+matrix products.  ``circuit_unitary`` takes the product over stacks: given
+many circuits, it multiplies out each group of equal (step length, n)
+together, with the same matmuls and so the same bits as one circuit at a
+time, and one circuit is the stack of one.  ``circuit_matrix`` composes one
+circuit at a time; the compilers repeat one object per distinct gate, and it
+calls ``matrix_of`` once per distinct gate object of the step.
+``gate_unitary`` is cached and returns read-only arrays.
 """
 
 from __future__ import annotations
@@ -72,41 +74,52 @@ def gate_unitary(g: Gate, j_sign: int = -1) -> np.ndarray:
     return u
 
 
+def _power_product(mats: list[np.ndarray], n: int) -> np.ndarray:
+    """The product of ``mats`` with the first rightmost, raised to the power n.
+
+    The matrices may be 2-D or stacks of them.  The product starts from a
+    copy of the first, which may be a cached read-only array, and the power
+    is taken by repeated squaring.
+    """
+    prod = mats[0].copy()
+    for m in mats[1:]:
+        prod = m @ prod
+    return prod if n == 1 else np.linalg.matrix_power(prod, n)
+
+
 def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
-    The product starts from a copy of the first gate's matrix and puts the
-    first gate rightmost; the empty circuit is a fresh identity.  When
+    The first gate is rightmost; the empty circuit is a fresh identity.  When
     ``c.step`` holds n > 1 copies of one step, it is the step's product
     raised to the power n by repeated squaring.  ``matrix_of`` is called once
     per distinct gate object of the step.  The result is always a new
-    writeable array.
+    writeable array.  This is the per-circuit composer of the noisy 16x16
+    superoperators; ``circuit_unitary`` takes the same product over stacks.
     """
     step, n = c.step
     if not step:
         return np.eye(dim, dtype=complex)
-    prod = matrix_of(step[0]).copy()  # matrix_of may return a cached read-only array
-    resolved = {id(step[0]): prod}
-    for g in step[1:]:
-        m = resolved.get(id(g))
-        if m is None:
-            m = resolved[id(g)] = matrix_of(g)
-        prod = m @ prod
-    return prod if n == 1 else np.linalg.matrix_power(prod, n)
+    resolved = {}
+    for g in step:
+        if id(g) not in resolved:
+            resolved[id(g)] = matrix_of(g)
+    return _power_product([resolved[id(g)] for g in step], n)
 
 
 def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     """Ordered product of the gate unitaries: first gate applied first.
 
-    One circuit gives its 4x4 unitary.  An iterable of T circuits gives the
-    (T, 4, 4) stack of theirs, each bit for bit its single call's: the
-    circuits of equal (step length, n) are multiplied out together, each
-    step position as one stack of gate matrices.  Only each circuit's step
-    matrices are kept while the iterable runs, and no circuit is held once
-    the next is drawn, so a generator of long circuits stays flat in memory.
+    An iterable of T circuits gives the (T, 4, 4) stack of their unitaries;
+    one circuit gives its 4x4 unitary, as the stack of one.  The circuits of
+    equal (step length, n) are multiplied out together, each step position
+    as one stack of gate matrices, so a circuit's unitary has the same bits
+    in any stack.  Only each circuit's step matrices are kept while the
+    iterable runs, and no circuit is held once the next is drawn, so a
+    generator of long circuits stays flat in memory.
     """
     if isinstance(circuits, Circuit):
-        return circuit_matrix(circuits, lambda g: gate_unitary(g, circuits.j_sign), 4)
+        return circuit_unitary((circuits,))[0]
     # (step length, n) -> (indices into the result, each circuit's step matrices)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
     # no loop variable holds a circuit, so each can be freed as the next is made
@@ -119,13 +132,7 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():
         if length:  # an empty circuit keeps its identity
-            # circuit_matrix's product, with each step position as a stack of
-            # one matrix per circuit
-            positions = zip(*mats)
-            prod = np.array(next(positions))
-            for pos in positions:
-                prod = np.array(pos) @ prod
-            out[index] = prod if n == 1 else np.linalg.matrix_power(prod, n)
+            out[index] = _power_product([np.array(pos) for pos in zip(*mats)], n)
     return out
 
 

@@ -13,22 +13,27 @@ protocol.
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
 
-Every command compiles its circuits through ``build_circuit``.  ``simulate``
-and ``trotter-scan`` share one pipeline, ``_states``: ``trotter-scan`` runs
-the ``simulate`` pipeline of the Ising protocol once for each n of its list,
-theta-major.  The pipeline feeds the circuits, one at a time, to one stacked
-``circuit_unitary`` call, which keeps only each circuit's step matrices; each
-circuit's noisy state is computed as it passes.  The commands then analyse
-the whole grid in stacked calls: the exact states from one eigendecomposition
-of the model Hamiltonian, and the observables, negativities and fidelities as
-arrays.  So a failure of the exact evolution shows after the grid's circuits
-have run, and names its theta.  ``tomography`` analyses each circuit as it
-runs.
+Every command compiles its circuits through ``build_circuit``.  The three
+numeric commands share one pipeline, ``_run``: it compiles the grid's
+circuits theta-major, runs each circuit's noisy work as it passes, and feeds
+the circuits, one at a time, to one stacked ``circuit_unitary`` call, which
+keeps only each circuit's step matrices, so no circuit outlives its runs.
+``simulate`` and ``trotter-scan`` take their states from it through
+``_states``, and ``trotter-scan`` runs the ``simulate`` pipeline of the Ising
+protocol once for each n of its list.  Their noisy work is the circuit's
+noisy state; ``tomography``'s is the 16 runs of process tomography and the
+report state, all on one composed superoperator (without noise, chi comes
+from the stacked unitaries).  The commands then analyse the whole grid in
+stacked calls: the exact states from one eigendecomposition of the model
+Hamiltonian, and the observables, negativities and fidelities as arrays.  So
+a failure of the exact evolution shows after the grid's circuits have run,
+and names its theta.
 
 ``load_config`` reads each JSON object of a config (the top level, ``noise``
 and ``noise.gate_durations``) through its table of conversions in one
 reader, ``_fields``, so every config error names its key path.  Each flag's
-dest is its config key.
+dest is its config key.  ``main`` clips a long config error message in its
+middle, so the line stays under 200 characters and keeps the key path.
 
 Configs, circuits and schedules are plain Python.  ``simulate``,
 ``trotter-scan`` and ``tomography`` import numpy and the numeric modules on
@@ -344,35 +349,42 @@ def _observables(states) -> np.ndarray:
     return np.column_stack([vals, negativity(rho)])
 
 
-def _states(cfgs: list[RunConfig]) -> tuple:
-    """The ideal kets, noisy states (none without noise) and exact states of
-    the configs' circuits, theta-major: one circuit per config at each theta.
+def _run(cfgs: list[RunConfig], noisy) -> tuple:
+    """The (T, 4, 4) ideal unitaries of the configs' circuits, theta-major (one
+    circuit per config at each theta), and the list of ``noisy(circuit)`` of
+    each circuit.
 
     The configs differ only in their step count.  Each theta's circuits all
     compile before any runs, so an overflowing field angle is a config error.
-    Each is simulated with noise and then handed, one at a time, to one
-    stacked ``circuit_unitary`` call, which keeps only its step and coupling
-    sign; the pipeline drops each circuit as it hands it on, so no circuit
-    outlives its runs.  The exact states come from one ``exact_evolve`` call,
-    repeated once per config.
+    Each is passed to ``noisy`` and then handed, one at a time, to one stacked
+    ``circuit_unitary`` call, which keeps only its step and coupling sign; the
+    pipeline drops each circuit as it hands it on, so no circuit outlives its
+    runs.
     """
+    results = []
+
+    def compiled():
+        for theta in cfgs[0].theta_grid:
+            circuits = [build_circuit(c, theta) for c in cfgs]
+            while circuits:
+                results.append(noisy(circuits[0]))
+                yield circuits.pop(0)
+
+    return circuit_unitary(compiled()), results
+
+
+def _states(cfgs: list[RunConfig]) -> tuple:
+    """The ideal kets, noisy states (None each without noise) and exact
+    states of ``_run``'s circuits.  The exact states come from one
+    ``exact_evolve`` call, repeated once per config."""
     cfg = cfgs[0]
     h = oracle_hamiltonian(cfg.protocol, cfg.b_over_j, cfg.j_sign)
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
-    rhos = []
-
-    def run_noisy():
-        for theta in cfg.theta_grid:
-            circuits = [build_circuit(c, theta) for c in cfgs]
-            while circuits:
-                if cfg.noise is not None:
-                    rhos.append(simulate_noisy(circuits[0], cfg.noise, rho0))
-                yield circuits.pop(0)
-
-    kets = np.matvec(circuit_unitary(run_noisy()), psi0)
+    us, rhos = _run(cfgs, lambda circuit: (
+        None if cfg.noise is None else simulate_noisy(circuit, cfg.noise, rho0)))
     psi_exact = exact_evolve(h, np.divide(cfg.theta_grid, 2.0), psi0)
-    return kets, rhos, np.repeat(psi_exact, len(cfgs), axis=0)
+    return np.matvec(us, psi0), rhos, np.repeat(psi_exact, len(cfgs), axis=0)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -405,29 +417,28 @@ def cmd_trotter_scan(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _tomography(channel, rho0) -> tuple:
+    """chi of the channel and its output state for rho0: 17 channel runs."""
+    return process_tomography(channel), channel(rho0)
+
+
 def cmd_tomography(cfg: RunConfig, out_dir: Path) -> int:
     _bind_numerics()
     psi0 = cfg.psi0()
     rho0 = np.outer(psi0, psi0.conj())
-    chi_texts, rows = [], []
-    for theta in cfg.theta_grid:
-        circ = build_circuit(cfg, theta)
-        u_ideal = circuit_unitary(circ)
-
-        def channel(rho):
-            if cfg.noise is not None:
-                return simulate_noisy(circ, cfg.noise, rho)
-            return u_ideal @ rho @ u_ideal.conj().T
-
-        chi = process_tomography(channel)
-        out_state = channel(rho0)
-        chi_texts.append(chi_to_json(chi))
-        rows.append([float(theta),
-                     process_fidelity(chi, chi_of_unitary(u_ideal)),
-                     state_fidelity(out_state, u_ideal @ psi0),
-                     min(negativity(out_state), 0.5)])
+    # with noise, each circuit's 17 runs reuse its one composed superoperator;
+    # without, chi comes from the unitaries once the whole grid has run
+    us, runs = _run([cfg], lambda circuit: None if cfg.noise is None else _tomography(
+        lambda rho: simulate_noisy(circuit, cfg.noise, rho), rho0))
+    if cfg.noise is None:
+        runs = [_tomography(lambda rho: u @ rho @ u.conj().T, rho0) for u in us]
+    chis, outs = zip(*runs)
     # every text is built and checked before the first file is written, so a
     # numerical failure leaves no partial output
+    chi_texts = [chi_to_json(chi) for chi in chis]
+    f_process = [process_fidelity(chi, chi_of_unitary(u)) for chi, u in zip(chis, us)]
+    rows = np.column_stack([cfg.theta_grid, f_process, state_fidelity(outs, np.matvec(us, psi0)),
+                            np.minimum(negativity(outs), 0.5)]).tolist()
     report = _csv_text(["theta", "f_process", "f_state", "negativity"], rows)
     for i, text in enumerate(chi_texts):
         (out_dir / f"chi_{cfg.protocol}_theta{i:03d}.json").write_text(text, newline="\n")
@@ -533,7 +544,10 @@ def main(argv=None) -> int:
         return cmd_schedule(cfg, out_dir, args.dump_circuit, args.dump_timeline,
                             args.circuit_in)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # a long line keeps its start, which names the key path, and its end,
+        # so with its newline it stays under 200 characters
+        line = f"config error: {exc}"
+        print(line if len(line) < 199 else f"{line[:115]}...{line[-80:]}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, ValueError, RuntimeError, OSError) as exc:
         # numerical or I/O failure; any other exception is a bug and propagates

@@ -37,9 +37,10 @@ compiled Ising step repeats its one Q2 phase gate, so each copy carries
 exactly half.  Superoperators are built once
 per distinct (gate, coupling sign, z fraction, duration, parameters) and kept
 in a bounded cache.  ``simulate_noisy`` composes the circuit's superoperators
-into one 16x16 matrix S with ``circuits.circuit_matrix``, the engine the
-ideal unitaries use too, which describes how a repeated Trotter step is
-composed and what it costs, and returns S vec(rho0).  It keeps the last
+into one 16x16 matrix S with ``circuits.circuit_matrix``, one circuit at a
+time; its product loop is the one the stacked ideal unitaries use too, and
+``circuits`` describes how a repeated Trotter step is composed and what it
+costs.  It returns S vec(rho0).  It keeps the last
 circuit's S in a one-entry memo and reuses it while the next call has the
 same circuit object, whose gates and header are read-only, and the same
 ``params`` object, as tomography's 17 calls per circuit do; rho0 is checked

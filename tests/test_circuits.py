@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinsim.circuits
 from spinsim.circuits import (Circuit, EvolutionParams, Gate, circuit_from_text,
-                              circuit_to_text, circuit_unitary,
+                              circuit_matrix, circuit_to_text, circuit_unitary,
                               compile_heisenberg, compile_ising, compile_xy,
                               gate_unitary, phase_distance, trotter_fidelity)
 from spinsim.device import TimingParams
@@ -350,6 +350,16 @@ def test_circuit_unitary_returns_fresh_writeable_array(c):
     expected = v.copy()
     u[...] = 0.0
     assert np.array_equal(circuit_unitary(c), expected)
+
+
+def test_circuit_matrix_copies_a_one_gate_circuit():
+    """The per-circuit composer does not hand back the cached, read-only
+    matrix of a circuit's only gate."""
+    c = compile_xy(EvolutionParams(1.0))
+    cached = gate_unitary(c.gates[0], c.j_sign)
+    m = circuit_matrix(c, lambda g: gate_unitary(g, c.j_sign), 4)
+    assert len(c.gates) == 1 and np.array_equal(m, cached)
+    assert m.flags.writeable and not np.shares_memory(m, cached)
 
 
 # one drawn circuit: a compiled protocol (ising with n up to 25), its dump

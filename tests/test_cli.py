@@ -560,6 +560,47 @@ def test_config_error_names_its_key_path(tmp_path, capsys, config, path):
     assert err.count("bad ") <= 1
 
 
+LONG = 300  # characters of a rejected value or key
+
+
+@pytest.mark.parametrize("config, start, end", [
+    pytest.param({"noise": {"t1_us": "x" * LONG}},
+                 "bad noise.t1_us: expected an array, got 'xxx", "xxx'", id="noise-value"),
+    pytest.param({"b_over_j": "x" * LONG},
+                 "bad b_over_j: could not convert string to float: 'xxx", "xxx'", id="top-value"),
+    pytest.param({"k" * LONG: 1}, "unknown config keys: kkk", "kkk", id="top-key"),
+    pytest.param({"noise": {"gate_durations": {"k" * LONG: 1}}},
+                 "unknown config keys: noise.gate_durations.kkk", "kkk",
+                 id="gate-durations-key"),
+    pytest.param({"initial_state": "x" * LONG}, "unknown initial-state preset 'xxx",
+                 "xxx'; choose from ['bell', 'fig2', 'fig3', 'up-up'] or give 4 amplitudes",
+                 id="preset"),
+    pytest.param({"protocol": "x" * LONG}, "unknown protocol 'xxx", "xxx'", id="protocol"),
+])
+def test_long_config_error_keeps_its_start_and_end(tmp_path, capsys, config, start, end):
+    """A rejected value or key of any length gives one line under 200
+    characters that keeps the message's start, which names the key path, and
+    its end."""
+    cfg = write_config(tmp_path, **config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith(f"config error: {start}") and err.endswith(f"{end}\n")
+    assert "..." in err
+
+
+def test_config_error_under_the_bound_keeps_its_bytes(tmp_path, capsys):
+    """A 199-character line is printed whole; one more character clips it."""
+    argv = ["simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]
+    write_config(tmp_path, protocol="x" * 165)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: unknown protocol '{'x' * 165}'\n"
+    write_config(tmp_path, protocol="x" * 166)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err) == 199 and "..." in err
+
+
 def test_every_flag_sets_its_own_config_field(tmp_path, monkeypatch):
     """Each flag's dest is its config key: it sets that RunConfig field and
     no other.  schedule ignores --no-noise."""
@@ -662,7 +703,9 @@ def test_subnormal_field_angles_charge_the_normal_share(tmp_path):
     (["simulate", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2,2.9"],
      [1, 1, 1, 1]),
     (["trotter-scan", "--n-list", "10,20", "--thetas", "0.3,1.7,2.2"], [2, 1, 2, 1, 2, 1]),
-], ids=["simulate", "trotter-scan"])
+    (["tomography", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2"],
+     [1] * 51),
+], ids=["simulate", "trotter-scan", "tomography"])
 def test_no_circuit_outlives_its_noisy_run(tmp_path, monkeypatch, argv, live_at_each_run):
     """Counted through weak references at each noisy run: only the circuits of
     the current theta that have not yet run, and the one running, are alive."""
@@ -681,6 +724,47 @@ def test_no_circuit_outlives_its_noisy_run(tmp_path, monkeypatch, argv, live_at_
     monkeypatch.setattr(spinsim.cli, "simulate_noisy", counted)
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert live == live_at_each_run
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-steps", "50"],
+    ["trotter-scan", "--n-list", "50"],
+    ["tomography", "--n-steps", "50"],
+    ["tomography", "--n-steps", "50", "--no-noise"],
+], ids=["simulate", "trotter-scan", "tomography", "tomography-no-noise"])
+def test_no_circuit_is_alive_when_the_next_is_built(tmp_path, monkeypatch, argv):
+    """Counted through weak references at each compile: every earlier
+    circuit has been freed, so one long circuit is alive at a time."""
+    build = spinsim.cli.build_circuit
+    refs, live = [], []
+
+    def built(*args):
+        live.append(sum(ref() is not None for ref in refs))
+        circuit = build(*args)
+        refs.append(weakref.ref(circuit))
+        return circuit
+    monkeypatch.setattr(spinsim.cli, "build_circuit", built)
+    assert main([*argv, "--protocol", "ising", "--thetas", "0.3,1.7,2.2",
+                 "--out", str(tmp_path)]) == 0
+    assert live == [0, 0, 0]
+
+
+@pytest.mark.parametrize("noise", [[], ["--no-noise"]], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("protocol", ["xy", "ising"])
+def test_tomography_takes_its_unitaries_from_one_stacked_call(tmp_path, monkeypatch,
+                                                              protocol, noise):
+    """One circuit_unitary call per command, which returns the (T, 4, 4)
+    stack of the grid's T unitaries."""
+    stacked, shapes = spinsim.cli.circuit_unitary, []
+
+    def counted(circuits):
+        u = stacked(circuits)
+        shapes.append(u.shape)
+        return u
+    monkeypatch.setattr(spinsim.cli, "circuit_unitary", counted)
+    assert main(["tomography", "--protocol", protocol, *noise, "--thetas", "0.3,1.7,2.2",
+                 "--out", str(tmp_path)]) == 0
+    assert shapes == [(3, 4, 4)]
 
 
 def test_tomography_resolves_each_circuit_once(tmp_path):

@@ -53,7 +53,8 @@ HEADERS = (reschedule("xy", "--thetas", "0.7"), reschedule("heisenberg", "--thet
 STACKED = (("trotter-scan", "--protocol", "ising", "--thetas", "0,0.7,2.5",
             "--n-list", "1,4,7"),
            ("simulate", "--protocol", "ising", "--thetas", "0,1.1,3.0", "--b-over-j", "0"),
-           ("simulate", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"))
+           ("simulate", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"),
+           ("tomography", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"))
 INVOCATIONS = tuple((cmd, "--protocol", p) + v
                     for v in VARIANTS for cmd in COMMANDS for p in PROTOCOLS
                     ) + (LONG_ISING, RESCHEDULE) + HEADERS + STACKED
