@@ -21,17 +21,18 @@ Propagation cost: one product loop, ``_power_product``, composes both the
 ideal 4x4 unitaries (``circuit_unitary``) and the noisy 16x16
 superoperators (``circuit_matrix``, for ``noise.simulate_noisy``).  It turns
 a circuit into one matrix, the ordered product of its gates' matrices, which
-the caller applies to the state.  When ``Circuit.step`` holds a circuit
-whose gates are exactly ``n_steps`` copies of one step, as ``compile_ising``
-builds them, only one step is multiplied out and the product is raised to
-the power n by repeated squaring, so a circuit costs one step plus O(log n)
-matrix products.  ``circuit_unitary`` takes the product over stacks: given
-many circuits, it multiplies out each group of equal (step length, n)
-together, with the same matmuls and so the same bits as one circuit at a
-time, and one circuit is the stack of one.  ``circuit_matrix`` composes one
-circuit at a time; the compilers repeat one object per distinct gate, and it
-calls ``matrix_of`` once per distinct gate object of the step.
-``gate_unitary`` is cached and returns read-only arrays.
+the caller applies to the state.  Each circuit is read as
+``Circuit.step`` = (step, n), the form it is stored in: only one step is
+multiplied out and the product is raised to the power n by repeated
+squaring, so a circuit costs one step plus O(log n) matrix products and no
+n-copy gate tuple is built.  ``circuit_unitary`` takes the product over
+stacks: given many circuits, it multiplies out each group of equal (step
+length, n) together, with the same matmuls and so the same bits as one
+circuit at a time, and one circuit is the stack of one.
+``circuit_matrix`` composes one circuit at a time; the compilers repeat one
+object per distinct gate, and it calls ``matrix_of`` once per distinct gate
+object of the step.  ``gate_unitary`` is cached and returns read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -90,12 +90,12 @@ def _power_product(mats: list[np.ndarray], n: int) -> np.ndarray:
 def circuit_matrix(c: Circuit, matrix_of, dim: int) -> np.ndarray:
     """The circuit as one dim x dim matrix: the product of ``matrix_of(gate)``.
 
-    The first gate is rightmost; the empty circuit is a fresh identity.  When
-    ``c.step`` holds n > 1 copies of one step, it is the step's product
-    raised to the power n by repeated squaring.  ``matrix_of`` is called once
-    per distinct gate object of the step.  The result is always a new
-    writeable array.  This is the per-circuit composer of the noisy 16x16
-    superoperators; ``circuit_unitary`` takes the same product over stacks.
+    The first gate is rightmost; the empty circuit is a fresh identity.  For
+    ``c.step`` = (step, n) it is the step's product raised to the power n by
+    repeated squaring.  ``matrix_of`` is called once per distinct gate object
+    of the step.  The result is always a new writeable array.  This is the
+    per-circuit composer of the noisy 16x16 superoperators;
+    ``circuit_unitary`` takes the same product over stacks.
     """
     step, n = c.step
     if not step:
@@ -114,20 +114,18 @@ def circuit_unitary(circuits: Circuit | Iterable[Circuit]) -> np.ndarray:
     one circuit gives its 4x4 unitary, as the stack of one.  The circuits of
     equal (step length, n) are multiplied out together, each step position
     as one stack of gate matrices, so a circuit's unitary has the same bits
-    in any stack.  Only each circuit's step matrices are kept while the
-    iterable runs, and no circuit is held once the next is drawn, so a
-    generator of long circuits stays flat in memory.
+    in any stack.
     """
     if isinstance(circuits, Circuit):
         return circuit_unitary((circuits,))[0]
     # (step length, n) -> (indices into the result, each circuit's step matrices)
     groups: dict[tuple[int, int], tuple[list, list]] = {}
-    # no loop variable holds a circuit, so each can be freed as the next is made
-    for i, ((step, n), j_sign) in enumerate(map(attrgetter("step", "j_sign"), circuits)):
+    for i, c in enumerate(circuits):
+        step, n = c.step
         index, mats = groups.setdefault((len(step), n), ([], []))
         index.append(i)
         # a cache hit per gate, in C, costs less than finding repeats in Python
-        mats.append(list(map(gate_unitary, step, repeat(j_sign))))
+        mats.append(list(map(gate_unitary, step, repeat(c.j_sign))))
     total = sum(len(index) for index, _ in groups.values())
     out = np.tile(np.eye(4, dtype=complex), (total, 1, 1))
     for (length, n), (index, mats) in groups.items():

@@ -13,11 +13,12 @@ protocol.
 Exit codes: 0 success, 2 configuration error, 3 numerical or I/O error, 4
 timeline validation failure.  Any other exception is a bug and propagates.
 
-Every command compiles its circuits through ``build_circuit``.  The three
-numeric commands share one pipeline, ``_run``: it compiles the grid's
-circuits theta-major, runs each circuit's noisy work as it passes, and feeds
-the circuits, one at a time, to one stacked ``circuit_unitary`` call, which
-keeps only each circuit's step matrices, so no circuit outlives its runs.
+Every command compiles its circuits through ``build_circuit``.  A circuit
+stores one Trotter step and its count n, so it is small at any n up to
+``ir.MAX_STEPS``, which ``RunConfig`` checks.  The three numeric commands
+share one pipeline, ``_run``: it compiles the grid's circuits theta-major,
+runs each theta's noisy work once its circuits are compiled, and hands all
+the circuits to one stacked ``circuit_unitary`` call.
 ``simulate`` and ``trotter-scan`` take their states from it through
 ``_states``, and ``trotter-scan`` runs the ``simulate`` pipeline of the Ising
 protocol once for each n of its list.  Their noisy work is the circuit's
@@ -51,9 +52,9 @@ from collections import namedtuple
 from pathlib import Path
 
 from .device import F_P_XY_REFERENCE, NoiseParams, TimingParams, predicted_fidelity
-from .ir import (Circuit, EvolutionParams, _Record, circuit_from_text, circuit_to_text,
-                 compile_heisenberg, compile_ising, compile_xy)
-from .scheduler import schedule, timeline_to_csv, validate
+from .ir import (MAX_STEPS, Circuit, EvolutionParams, _Record, circuit_from_text,
+                 circuit_to_text, compile_heisenberg, compile_ising, compile_xy)
+from .scheduler import _FMT, schedule, timeline_to_csv, validate
 
 # numeric names, bound as globals by _bind_numerics on first use, so that
 # `spinsim schedule` never loads numpy
@@ -65,8 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TIMELINE = 4
-
-_FMT = "{:.12g}".format
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 PRESETS = {
@@ -143,6 +142,8 @@ class RunConfig(namedtuple("RunConfig", "protocol theta_grid n_steps n_list b_ov
             raise ConfigError("n_list must not be empty")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be >= 1")
+        if max(self.n_steps, *self.n_list) > MAX_STEPS:
+            raise ConfigError(f"n_steps and the n_list entries must be <= {MAX_STEPS}")
         if self.j_sign not in (-1, 1):
             raise ConfigError("j_sign must be +1 or -1")
         self._amplitudes()  # validate the initial state eagerly, without numpy
@@ -303,19 +304,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def build_circuit(cfg: RunConfig, theta: float) -> Circuit:
-    """Compile the config's protocol at theta; an overflowing angle or step
-    count is a config error.  The xy and heisenberg compilers read only theta."""
+    """Compile the config's protocol at theta; an overflowing angle is a
+    config error.  The xy and heisenberg compilers read only theta."""
     # the compiler is looked up by name at call time, so a wrapper installed
     # on this module sees every call
     compiler = {"xy": compile_xy, "heisenberg": compile_heisenberg,
                 "ising": compile_ising}[cfg.protocol]
     try:
         return compiler(EvolutionParams(theta, cfg.n_steps, cfg.b_over_j), j_sign=cfg.j_sign)
-    except (OverflowError, ValueError, MemoryError) as exc:  # n too large for memory
-        n = str(cfg.n_steps)
-        n = n if len(n) <= 20 else f"<{len(n)} digits>"
-        reason = str(exc) or type(exc).__name__
-        raise ConfigError(f"cannot compile theta={theta!r} n={n}: {reason}") from exc
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"cannot compile theta={theta!r} n={cfg.n_steps}: {exc}") from exc
 
 
 def _check_finite(rows) -> None:
@@ -355,22 +353,14 @@ def _run(cfgs: list[RunConfig], noisy) -> tuple:
     each circuit.
 
     The configs differ only in their step count.  Each theta's circuits all
-    compile before any runs, so an overflowing field angle is a config error.
-    Each is passed to ``noisy`` and then handed, one at a time, to one stacked
-    ``circuit_unitary`` call, which keeps only its step and coupling sign; the
-    pipeline drops each circuit as it hands it on, so no circuit outlives its
-    runs.
+    compile before any of them runs, so an overflowing field angle is a
+    config error, whatever the noisy work of that theta would raise.
     """
-    results = []
-
-    def compiled():
-        for theta in cfgs[0].theta_grid:
-            circuits = [build_circuit(c, theta) for c in cfgs]
-            while circuits:
-                results.append(noisy(circuits[0]))
-                yield circuits.pop(0)
-
-    return circuit_unitary(compiled()), results
+    circuits, results = [], []
+    for theta in cfgs[0].theta_grid:
+        circuits += [build_circuit(c, theta) for c in cfgs]
+        results += map(noisy, circuits[-len(cfgs):])
+    return circuit_unitary(circuits), results
 
 
 def _states(cfgs: list[RunConfig]) -> tuple:
@@ -454,17 +444,17 @@ def cmd_schedule(cfg: RunConfig, out_dir: Path, dump_circuit: bool,
     if circuit_in is not None:
         try:
             circuits = [("input", circuit_from_text(Path(circuit_in).read_text()))]
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot read circuit {circuit_in}: {exc!r}") from exc
     else:
         circuits = [(f"theta{i:03d}", build_circuit(cfg, theta))
                     for i, theta in enumerate(cfg.theta_grid)]
     all_violations: list[str] = []
     for tag, circ in circuits:
-        try:
+        try:  # the gate tuple is built here, so memory may run out
             timeline = schedule(circ, timing)
-        except ValueError as exc:
-            raise ConfigError(f"cannot schedule {tag}: {exc}") from exc
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"cannot schedule {tag}: {str(exc) or type(exc).__name__}") from exc
         violations = validate(timeline, timing)
         if dump_circuit:
             (out_dir / f"{cfg.protocol}_{tag}_circuit.txt").write_text(

@@ -24,16 +24,22 @@ step is O((theta/n)^3), so the global error amplitude after n steps is
 O(1/n^2) and the state infidelity, its square, is O(1/n^4).  Each step also
 carries the two consecutive refocusing pi pulses on qubit Q2 (a net
 identity) so that noisy simulations see the same pulse load as the hardware
-sequence.  ``compile_ising`` builds one Trotter step and repeats it n times;
-``Circuit`` checks and freezes its header once, and its ``step`` holds that
-step for any circuit whose gates are exactly ``n_steps`` copies of one step.
+sequence.  A circuit stores its gates once, as ``step`` = (step, n):
+``compile_ising`` builds one Trotter step and hands it over with n, so
+compiling costs O(|step|) at any n, and ``gates`` is ``step * n``, derived on
+each read.  ``Circuit`` checks and freezes its header once; given a flat gate
+sequence, it finds the step for any circuit whose gates are exactly
+``n_steps`` copies of one.  ``MAX_STEPS`` bounds n: from n ~ 1e5 on, the
+rounding of the step's matrix power (about n * eps) outgrows the Trotter
+error, and at ``MAX_STEPS`` it is still below 1e-8.
 ``Circuit`` is the one reader of the header: the other modules read its
 typed fields ``j_sign`` and ``b_over_j``.  The header carries no z angle: a
 step's z rotation is what its own Q2 phase gates carry, and the noise model
 reads it from them.
 
-The text form writes one gate per line.  ``_GATE_TEXT`` lists each kind's
-values once, for both the writer and the parser.
+The text form writes one gate per line: the step's lines, n times.
+``_GATE_TEXT`` lists each kind's values once, for both the writer and the
+parser.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from collections import namedtuple
 from types import MappingProxyType
 
 HALF_PI = math.pi / 2.0
+MAX_STEPS = 10 ** 7  # the largest Trotter step count a circuit is compiled with
 
 
 class _Record(tuple):
@@ -119,13 +126,14 @@ class Circuit:
     optional and checked: ``j_sign`` in {-1, 1}, ``n_steps`` an integer >= 1
     that a float can hold, and ``b_over_j`` and ``theta`` finite numbers; no
     ``bool`` passes.  The other modules read the typed fields ``j_sign`` and
-    ``b_over_j``.  ``step`` is the circuit as (step, n) with
-    ``step * n == gates``, found once: header ``n_steps`` is only a candidate
-    for n, so a circuit whose gates are not that many copies of one step is
-    its own step, with n = 1.  A step's z rotation is the sum of its own Q2
-    phase-gate angles; no header value restates it.  ``metadata`` stays the
-    read-only header that the text dump writes.  ``gates`` is a tuple: the
-    circuit keeps a tuple it is given and copies any other sequence.
+    ``b_over_j``.  ``step`` is the circuit as (step, n), the only form it
+    stores; ``gates`` is the tuple ``step * n``, the step itself when n = 1
+    and a new tuple on each read otherwise.  Given flat ``gates``, the step
+    is found once: header ``n_steps`` is only a candidate for n, so a circuit
+    whose gates are not that many copies of one step is its own step, with
+    n = 1.  A step's z rotation is the sum of its own Q2 phase-gate angles;
+    no header value restates it.  ``metadata`` stays the read-only header
+    that the text dump writes.
 
     A slotted, read-only class: assigning or deleting an attribute raises
     ``AttributeError``.  Two circuits are equal when their ``n_qubits``,
@@ -133,8 +141,7 @@ class Circuit:
     sequence.  Pickling and copying rebuild the circuit, checks included.
     """
 
-    __slots__ = ("n_qubits", "gates", "metadata", "step", "j_sign", "b_over_j",
-                 "__weakref__")  # the noise memo holds a circuit by weak reference
+    __slots__ = ("n_qubits", "step", "metadata", "j_sign", "b_over_j")
 
     def __init__(self, n_qubits: int, gates: tuple[Gate, ...],
                  metadata: MappingProxyType = MappingProxyType({})):  # or any mapping
@@ -154,10 +161,21 @@ class Circuit:
                 raise ValueError(f"{key} must be finite, got {v!r}")
         k = len(gates) // n
         repeats = 1 < n <= len(gates) and k * n == len(gates) and gates[:k] * n == gates
-        for name, value in (("n_qubits", n_qubits), ("gates", gates), ("metadata", meta),
-                            ("j_sign", j), ("b_over_j", b),
-                            ("step", (gates[:k], n) if repeats else (gates, 1))):
+        for name, value in (("n_qubits", n_qubits), ("metadata", meta), ("j_sign", j),
+                            ("b_over_j", b), ("step", (gates[:k], n) if repeats else (gates, 1))):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _repeat(cls, step: tuple[Gate, ...], metadata: dict) -> "Circuit":
+        """The circuit of ``step`` repeated header ``n_steps`` times, built
+        without the n-copy tuple; ``compile_ising``'s path."""
+        c = cls(2, step, metadata)
+        object.__setattr__(c, "step", (step, c.metadata["n_steps"]))
+        return c
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return self.step[0] * self.step[1]  # the step itself when n = 1
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a read-only Circuit")
@@ -168,8 +186,9 @@ class Circuit:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.n_qubits, self.gates, self.metadata)
-                == (other.n_qubits, other.gates, other.metadata))
+        # equal gates and header mean an equal step, without the n-copy tuple
+        return ((self.n_qubits, self.step, self.metadata)
+                == (other.n_qubits, other.step, other.metadata))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(n_qubits={self.n_qubits!r}, "
@@ -181,13 +200,14 @@ class Circuit:
 
 class EvolutionParams(namedtuple("EvolutionParams", "theta n_steps b_over_j",
                                  defaults=(1, 0.0)), _Record):
-    """Total phase angle, Trotter step count and field-to-coupling ratio."""
+    """Total phase angle, Trotter step count (1 to ``MAX_STEPS``) and
+    field-to-coupling ratio."""
 
     __slots__ = ()
 
     def _check(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must be in [1, {MAX_STEPS}]")
 
 
 def compile_xy(params: EvolutionParams, j_sign: int = -1) -> Circuit:
@@ -230,7 +250,8 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     the interaction block.  The local error of one step is O((theta/n)^3),
     so the global error amplitude is O(1/n^2) and the state infidelity is
     O(1/n^4).  Two consecutive pi pulses on Q2 per step mirror the hardware
-    refocusing sequence; their net effect is the identity.
+    refocusing sequence; their net effect is the identity.  The circuit
+    stores the step once, with n.
     """
     n = params.n_steps
     th = params.theta
@@ -246,7 +267,7 @@ def compile_ising(params: EvolutionParams, j_sign: int = -1) -> Circuit:
     meta = {"protocol": "ising", "theta": th, "n_steps": n,
             "b_over_j": params.b_over_j, "j_sign": j_sign,
             "gates_per_step": len(step)}
-    return Circuit(n_qubits=2, gates=step * n, metadata=meta)
+    return Circuit._repeat(step, meta)
 
 
 # each gate kind's values in its text line, in order: (text key, Gate field, parser)
@@ -266,17 +287,16 @@ def circuit_to_text(c: Circuit) -> str:
     """Line-oriented text form: one gate per line, metadata in # comments.
 
     Floats are written with repr so a dumped circuit reschedules to the
-    byte-identical timeline.
+    byte-identical timeline.  The step's lines are formatted once and
+    repeated n times.
     """
     lines = [f"# n_qubits={c.n_qubits}"]
     if c.metadata:
         lines.append("# " + " ".join(f"{k}={_text(c.metadata[k])}" for k in sorted(c.metadata)))
-    text: dict[int, str] = {}  # by gate id; a repeated gate is formatted once
-    for g in c.gates:
-        if id(g) not in text:
-            text[id(g)] = " ".join([g.kind, *(f"{key}={_text(getattr(g, name))}"
-                                              for key, name, _ in _GATE_TEXT[g.kind])])
-        lines.append(text[id(g)])
+    step, n = c.step
+    lines += [" ".join([g.kind, *(f"{key}={_text(getattr(g, name))}"
+                                  for key, name, _ in _GATE_TEXT[g.kind])])
+              for g in step] * n
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +308,8 @@ def circuit_from_text(text: str) -> Circuit:
     checks them.  Repeated gate lines share the one ``Gate`` built for the
     first of them, so a dumped Trotter circuit comes back with the repeated
     step it was built from, and ``Circuit.step`` compares its copies by
-    identity.
+    identity.  A gate line must give each of its kind's fields once and no
+    other field.
     """
     metadata: dict = {}
     gates: list[Gate] = []
@@ -314,6 +335,9 @@ def circuit_from_text(text: str) -> Circuit:
             kv = dict(f.split("=", 1) for f in fields)
             if kind not in _GATE_TEXT:
                 raise ValueError(f"unknown gate line: {line!r}")
+            # exactly the kind's fields, each given once
+            if len(kv) != len(fields) or sorted(kv) != sorted(k for k, _, _ in _GATE_TEXT[kind]):
+                raise ValueError(f"bad fields in gate line: {line!r}")
             built[line] = Gate(kind, **{name: parse(kv[key])
                                         for key, name, parse in _GATE_TEXT[kind]})
         gates.append(built[line])

@@ -108,14 +108,13 @@ def _check_entries(data: bytes, n: int, name: str) -> None:
     Only a pass is cached; a failure raises again on every call.
     """
     rho = np.frombuffer(data, dtype=complex).reshape(n, n)
-    adj = rho.conj().T
     with np.errstate(invalid="ignore"):  # an infinite diagonal entry gives NaN
-        asym = float(np.abs(rho - adj).max())
+        asym = max_asymmetry(rho)
     if not asym <= 1e-10:  # written so that NaN fails
         raise ValueError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
     tr = complex(rho.trace())
     if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    w_min = np.linalg.eigvalsh((rho + adj) / 2)[0]  # eigenvalues ascend
+    w_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]  # eigenvalues ascend
     if not w_min >= -1e-8:
         raise ValueError(f"{name} has negative eigenvalue {w_min:.3e}")

@@ -44,14 +44,13 @@ costs.  It returns S vec(rho0).  It keeps the last
 circuit's S in a one-entry memo and reuses it while the next call has the
 same circuit object, whose gates and header are read-only, and the same
 ``params`` object, as tomography's 17 calls per circuit do; rho0 is checked
-on every call.  The memo holds its circuit by a weak reference, so a circuit
-is freed once its caller drops it.
+on every call.  The memo holds the circuit itself, which stores only its
+step.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -183,17 +182,16 @@ def _gate_superop(gate: Gate, j_sign: int, z_frac: float, duration_ns: float,
     return s
 
 
-# the last circuit simulated: (a weak reference to it, params, its superoperator);
-# before the first call a lambda stands in for a dead reference
-_last = (lambda: None, None, None)
+# the last circuit simulated: (the circuit, params, its superoperator)
+_last = (None, None, None)
 
 
 def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> np.ndarray:
     """Propagate a density matrix through the circuit under the noise model."""
     global _last
     vec = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0").reshape(-1)
-    last_ref, last_params, s = _last
-    if not (last_ref() is circuit and params is last_params):
+    last, last_params, s = _last
+    if not (last is circuit and params is last_params):
         j_sign, b = circuit.j_sign, circuit.b_over_j
         # the step's z rotation, carried by its Q2 phase gates; fsum raises
         # OverflowError where the sum leaves the float range
@@ -207,6 +205,6 @@ def simulate_noisy(circuit: Circuit, params: NoiseParams, rho0: np.ndarray) -> n
             return _gate_superop(g, j_sign, z_frac, gate_duration_ns(g, params, b), params)
 
         s = circuit_matrix(circuit, superop, 16)
-        _last = (weakref.ref(circuit), params, s)
+        _last = (circuit, params, s)
     rho = (s @ vec).reshape(4, 4)
     return (rho + rho.conj().T) / 2.0

@@ -2,7 +2,8 @@ import contextlib
 import io
 import json
 import math
-import weakref
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from spinsim.circuits import EvolutionParams, circuit_unitary, compile_ising
 from spinsim.cli import PROTOCOLS, ConfigError, RunConfig, build_circuit, load_config, main
 from spinsim.hamiltonians import (dominant_angular_frequency, exact_evolve,
                                   oracle_hamiltonian)
+from spinsim.ir import MAX_STEPS
 from spinsim.noise import NoiseParams, simulate_noisy
 from spinsim.tomography import negativity, process_tomography, state_fidelity
 from test_api import run_fresh
@@ -387,6 +389,9 @@ BAD_CIRCUITS = {
     "n-steps-0.txt": "# n_qubits=2 n_steps=0\nXY theta=1.0\n",
     "n-steps-negative.txt": "# n_qubits=2 n_steps=-3\nXY theta=1.0\n",
     "qubit-2.txt": "# n_qubits=2\nROT axis=x angle=1.0 q=2\n",
+    "unknown-field.txt": "# n_qubits=2\nXY theta=1.0 foo=3\n",
+    "repeated-field.txt": "# n_qubits=2\nROT axis=x angle=1.0 q=0 q=1\n",
+    "repeated-theta.txt": "# n_qubits=2\nXY theta=2.0 theta=0.5\n",
 }
 
 
@@ -458,6 +463,12 @@ BAD_CIRCUITS = {
                  id="circuit-in-n-steps-fractional"),
     pytest.param("schedule", {}, ["--circuit-in", "qubit-2.txt"],
                  id="circuit-in-qubit-2"),
+    pytest.param("schedule", {}, ["--circuit-in", "unknown-field.txt"],
+                 id="circuit-in-unknown-field"),
+    pytest.param("schedule", {}, ["--circuit-in", "repeated-field.txt"],
+                 id="circuit-in-repeated-field"),
+    pytest.param("schedule", {}, ["--circuit-in", "repeated-theta.txt"],
+                 id="circuit-in-repeated-theta"),
     pytest.param("simulate", {"protocol": "ising", "n_steps": 2.7}, [],
                  id="n_steps-fractional"),
     pytest.param("simulate", {"n_steps": True}, [], id="n_steps-bool"),
@@ -521,8 +532,8 @@ BAD_CIRCUITS = {
                  id="n_steps-huge-int"),
     pytest.param("trotter-scan", {}, ["--n-list", str(HUGE), "--thetas", "1.0"],
                  id="n-list-flag-huge-int"),
-    # a step count whose gate tuple cannot be allocated at all (see
-    # test_n_steps_beyond_memory_is_a_config_error)
+    # a step count far above MAX_STEPS (see
+    # test_n_steps_above_max_steps_is_a_config_error)
     pytest.param("trotter-scan", {"n_list": [1, 10 ** 15]}, ["--thetas", "1.0"],
                  id="n_list-beyond-memory"),
 ])
@@ -647,23 +658,50 @@ def test_unknown_gate_kind_names_the_line(tmp_path, capsys):
                                        "ValueError(\"unknown gate line: 'FOO x=1'\")\n")
 
 
+@pytest.mark.parametrize("name", ["unknown-field.txt", "repeated-field.txt",
+                                  "repeated-theta.txt"])
+def test_bad_gate_fields_name_the_line(tmp_path, capsys, name):
+    """A gate line gives each field of its kind once and no other field."""
+    path = tmp_path / name
+    path.write_text(BAD_CIRCUITS[name])
+    assert main(["schedule", "--circuit-in", str(path), "--out", str(tmp_path / "out")]) == 2
+    line = BAD_CIRCUITS[name].splitlines()[1]
+    assert capsys.readouterr().err == (f"config error: cannot read circuit {path}: "
+                                       f"ValueError(\"bad fields in gate line: {line!r}\")\n")
+
+
+BOUND_ERROR = f"config error: n_steps and the n_list entries must be <= {MAX_STEPS}\n"
+
+
 def test_huge_n_steps_error_is_one_short_line(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"protocol": "ising", "n_steps": HUGE}))
     assert main(["schedule", "--config", str(cfg), "--thetas", "1.0",
                  "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert len(err) < 200 and err.count("\n") == 1
-    assert "n=<401 digits>" in err
+    assert capsys.readouterr().err == BOUND_ERROR
 
 
-def test_n_steps_beyond_memory_is_a_config_error(tmp_path, capsys):
-    # 10**13 copies of an 8-gate step need 640 TB of pointers, so the tuple's
-    # allocation fails at once; never try an n that could really be allocated
-    assert main(["simulate", "--protocol", "ising", "--n-steps", str(10 ** 13),
-                 "--thetas", "1.0", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: cannot compile theta=1.0 n=10000000000000: MemoryError\n")
+# schedule is never run at MAX_STEPS itself: it builds every gate and event
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-steps", str(MAX_STEPS + 1)],
+    ["trotter-scan", "--n-list", f"1,{MAX_STEPS + 1}"],
+    ["tomography", "--n-steps", str(MAX_STEPS + 1)],
+    ["schedule", "--n-steps", str(MAX_STEPS + 1)],
+], ids=["simulate", "trotter-scan", "tomography", "schedule"])
+def test_n_steps_above_max_steps_is_a_config_error(tmp_path, capsys, argv):
+    assert main([*argv, "--protocol", "ising", "--thetas", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == BOUND_ERROR
+
+
+def test_schedule_out_of_memory_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """``schedule`` builds the circuit's gate tuple, so it can run out of memory."""
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(spinsim.cli, "schedule", out_of_memory)
+    assert main(["schedule", "--protocol", "ising", "--n-steps", "3", "--thetas", "1.0",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: cannot schedule theta000: MemoryError\n"
 
 
 def test_infinite_gate_duration_at_zero_dephasing_rate_decays_fully(tmp_path):
@@ -699,54 +737,58 @@ def test_subnormal_field_angles_charge_the_normal_share(tmp_path):
     assert np.max(np.abs(rows[0, noisy] - rows[1, noisy])) <= 1e-12
 
 
-@pytest.mark.parametrize("argv, live_at_each_run", [
-    (["simulate", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2,2.9"],
-     [1, 1, 1, 1]),
-    (["trotter-scan", "--n-list", "10,20", "--thetas", "0.3,1.7,2.2"], [2, 1, 2, 1, 2, 1]),
-    (["tomography", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2"],
-     [1] * 51),
-], ids=["simulate", "trotter-scan", "tomography"])
-def test_no_circuit_outlives_its_noisy_run(tmp_path, monkeypatch, argv, live_at_each_run):
-    """Counted through weak references at each noisy run: only the circuits of
-    the current theta that have not yet run, and the one running, are alive."""
-    build, noisy = spinsim.cli.build_circuit, spinsim.cli.simulate_noisy
-    refs, live = [], []
-
-    def built(*args):
-        circuit = build(*args)
-        refs.append(weakref.ref(circuit))
-        return circuit
-
-    def counted(*args):
-        live.append(sum(ref() is not None for ref in refs))
-        return noisy(*args)
-    monkeypatch.setattr(spinsim.cli, "build_circuit", built)
-    monkeypatch.setattr(spinsim.cli, "simulate_noisy", counted)
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert live == live_at_each_run
+PEAK_BYTES = 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--n-steps", "50"],
-    ["trotter-scan", "--n-list", "50"],
-    ["tomography", "--n-steps", "50"],
-    ["tomography", "--n-steps", "50", "--no-noise"],
+    ["simulate", "--n-steps", str(MAX_STEPS)],
+    ["trotter-scan", "--n-list", str(MAX_STEPS)],
+    ["tomography", "--n-steps", str(MAX_STEPS)],
+    ["tomography", "--n-steps", str(MAX_STEPS), "--no-noise"],
 ], ids=["simulate", "trotter-scan", "tomography", "tomography-no-noise"])
-def test_no_circuit_is_alive_when_the_next_is_built(tmp_path, monkeypatch, argv):
-    """Counted through weak references at each compile: every earlier
-    circuit has been freed, so one long circuit is alive at a time."""
-    build = spinsim.cli.build_circuit
-    refs, live = [], []
+def test_peak_memory_is_flat_at_max_steps(tmp_path, argv):
+    """A circuit stores its Trotter step once, with n, so three theta at n =
+    MAX_STEPS peak under PEAK_BYTES (4 MiB) of traced memory; one n-copy gate
+    tuple of the 10-gate step would take 800 MB."""
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--protocol", "ising", "--thetas", "0.3,1.7,2.2",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES
 
-    def built(*args):
-        live.append(sum(ref() is not None for ref in refs))
-        circuit = build(*args)
-        refs.append(weakref.ref(circuit))
-        return circuit
-    monkeypatch.setattr(spinsim.cli, "build_circuit", built)
-    assert main([*argv, "--protocol", "ising", "--thetas", "0.3,1.7,2.2",
-                 "--out", str(tmp_path)]) == 0
-    assert live == [0, 0, 0]
+
+def held_elsewhere(held: list) -> list[int]:
+    """The indices of the entries of ``held`` that something besides ``held``
+    refers to.  Read from reference counts: a circuit cannot be
+    weak-referenced."""
+    probe = [object()]
+    floor = sys.getrefcount(probe[0])
+    return [i for i in range(len(held)) if sys.getrefcount(held[i]) > floor]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2,2.9"],
+    ["trotter-scan", "--n-list", "10,20", "--thetas", "0.3,1.7,2.2"],
+    ["tomography", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2"],
+    ["tomography", "--protocol", "ising", "--n-steps", "50", "--thetas", "0.3,1.7,2.2",
+     "--no-noise"],
+], ids=["simulate", "trotter-scan", "tomography", "tomography-no-noise"])
+def test_only_the_noise_memo_keeps_a_circuit_past_its_command(tmp_path, monkeypatch, argv):
+    """Once a command returns, the last circuit of a noisy run, held by the
+    superoperator memo, is the only one of its circuits still referenced."""
+    build, built = spinsim.cli.build_circuit, []
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(spinsim.cli, "build_circuit", recorded)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    noisy = "--no-noise" not in argv
+    assert held_elsewhere(built) == ([len(built) - 1] if noisy else [])
+    assert (spinsim.noise._last[0] is built[-1]) == noisy
 
 
 @pytest.mark.parametrize("noise", [[], ["--no-noise"]], ids=["noise", "no-noise"])

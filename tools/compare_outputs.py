@@ -48,10 +48,12 @@ LONG_ISING = RESCHEDULE[0]
 # one with the n, coupling sign and field of the third variant
 HEADERS = (reschedule("xy", "--thetas", "0.7"), reschedule("heisenberg", "--thetas", "0.7"),
            reschedule("ising", "--thetas", "0.7", *VARIANTS[2]))
-# stacked ideal unitaries: a scan whose grid splits into several (step length,
-# n) groups, a field-free ising grid, and long circuits fed one at a time
+# stacked ideal unitaries: scans whose grids split into several (step length,
+# n) groups, one of them at a large n, a field-free ising grid, and long circuits
 STACKED = (("trotter-scan", "--protocol", "ising", "--thetas", "0,0.7,2.5",
             "--n-list", "1,4,7"),
+           ("trotter-scan", "--protocol", "ising", "--thetas", "0.3,1.7",
+            "--n-list", "1,200000"),
            ("simulate", "--protocol", "ising", "--thetas", "0,1.1,3.0", "--b-over-j", "0"),
            ("simulate", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"),
            ("tomography", "--protocol", "ising", "--n-steps", "200000", "--thetas", "0.3,1.7"))
